@@ -4,6 +4,8 @@
 // a single perimeter check); then benchmarks the sweep engine.
 #include "bench_common.h"
 
+#include <bit>
+
 #include "analysis/chain_analyzer.h"
 #include "analysis/defense_matrix.h"
 #include "analysis/report.h"
@@ -24,13 +26,12 @@ std::string single_check_ablation(const std::vector<analysis::LemmaReport>& repo
     // Find the smallest mask (by popcount) that foils.
     std::size_t best_popcount = r.checks.size() + 1;
     std::string best_mask = "-";
-    for (const auto& row : r.results) {
-      if (row.exploit.exploited) continue;
-      std::size_t pop = 0;
+    for (const auto& row : r.rows) {
+      if (r.exploit_of(row).exploited) continue;
+      const auto pop = static_cast<std::size_t>(std::popcount(row.mask_id()));
       std::string mask;
-      for (bool b : row.mask) {
-        pop += b ? 1u : 0u;
-        mask += b ? '1' : '0';
+      for (std::size_t i = 0; i < r.checks.size(); ++i) {
+        mask += row.check_on(i) ? '1' : '0';
       }
       if (pop < best_popcount) {
         best_popcount = pop;

@@ -23,21 +23,31 @@ struct OpChecks {
 };
 
 /// One memoized cell: the study's outcome with ONLY this operation's
-/// checks enabled (per its sub-mask), everything else off. `*_blocks`
-/// records whether that run diverged from the all-checks-off baseline —
-/// by the Lemma's predicate independence, a non-diverging operation is
-/// behaviourally absent from every composed mask.
+/// checks enabled (per its sub-mask), everything else off, as ids into
+/// the engine's outcome table. `*_blocks` records whether that run
+/// diverged from the all-checks-off baseline — by the Lemma's predicate
+/// independence, a non-diverging operation is behaviourally absent from
+/// every composed mask.
 struct CacheEntry {
-  apps::RunOutcome exploit;
-  apps::RunOutcome benign;
+  std::uint32_t exploit = 0;
+  std::uint32_t benign = 0;
   bool exploit_blocks = false;
   bool benign_blocks = false;
+
+  [[nodiscard]] bool operator==(const CacheEntry&) const = default;
 };
 
-[[nodiscard]] bool entries_equal(const CacheEntry& a, const CacheEntry& b) {
-  return a.exploit == b.exploit && a.benign == b.benign &&
-         a.exploit_blocks == b.exploit_blocks &&
-         a.benign_blocks == b.benign_blocks;
+/// Adds `o` to a LemmaReport::outcomes table under construction and
+/// returns its id: equal outcomes share one id and ids are handed out in
+/// first-seen order, so the table is a pure function of the interning
+/// sequence. A table holds at most 2·(1 + Σ(2^k_op − 1)) entries, so a
+/// linear search is enough.
+std::uint32_t intern(std::vector<apps::RunOutcome>& table,
+                     apps::RunOutcome o) {
+  const auto it = std::find(table.begin(), table.end(), o);
+  if (it != table.end()) return static_cast<std::uint32_t>(it - table.begin());
+  table.push_back(std::move(o));
+  return static_cast<std::uint32_t>(table.size() - 1);
 }
 
 std::vector<OpChecks> op_layout(const std::vector<apps::CheckSpec>& checks) {
@@ -68,7 +78,8 @@ std::size_t slot_of(const std::vector<OpChecks>& ops, std::size_t op,
                               std::to_string(op));
 }
 
-std::vector<bool> mask_bits(std::uint64_t bits, std::size_t k) {
+/// The study-interface form of a mask id.
+std::vector<bool> mask_vector(std::uint64_t bits, std::size_t k) {
   std::vector<bool> mask(k);
   for (std::size_t i = 0; i < k; ++i) mask[i] = (bits >> i) & 1;
   return mask;
@@ -78,37 +89,27 @@ std::vector<bool> mask_bits(std::uint64_t bits, std::size_t k) {
 /// cap, otherwise an evenly-strided sample that pins mask 0 and mask
 /// total-1. Pure function of (total, max_masks) — the determinism anchor
 /// for sampled sweeps.
-std::vector<std::uint64_t> sweep_mask_ids(std::uint64_t total,
-                                          std::uint64_t max_masks) {
-  std::vector<std::uint64_t> ids;
-  if (max_masks == 0 || total <= max_masks) {
-    ids.reserve(static_cast<std::size_t>(total));
-    for (std::uint64_t m = 0; m < total; ++m) ids.push_back(m);
-    return ids;
-  }
-  if (max_masks == 1) return {0};
-  ids.reserve(static_cast<std::size_t>(max_masks));
-  for (std::uint64_t i = 0; i < max_masks; ++i) {
-    // i scaled onto [0, total-1]; strictly increasing since total > max.
-    ids.push_back(i * ((total - 1) / (max_masks - 1)) +
-                  (i * ((total - 1) % (max_masks - 1))) / (max_masks - 1));
-  }
-  return ids;
-}
+struct MaskIds {
+  std::uint64_t total = 0;
+  std::uint64_t count = 0;  ///< rows the sweep materializes
 
-/// The full-length mask holding `submask` at this operation's check
-/// positions and 0 everywhere else — the cache-fill plumbing through the
-/// study's ordinary run_exploit/run_benign mask interface.
-std::vector<bool> expand_submask(const OpChecks& oc, std::uint64_t submask,
-                                 std::size_t k) {
-  std::vector<bool> mask(k);
-  for (std::size_t j = 0; j < oc.positions.size(); ++j) {
-    if ((submask >> j) & 1) mask[oc.positions[j]] = true;
-  }
-  return mask;
-}
+  MaskIds(std::uint64_t total_masks, std::uint64_t max_masks)
+      : total(total_masks),
+        count(max_masks == 0 || total_masks <= max_masks ? total_masks
+                                                         : max_masks) {}
 
-/// Mask-id form of expand_submask (indexes exhaustive baseline rows).
+  [[nodiscard]] std::uint64_t operator()(std::uint64_t i) const {
+    if (count == total) return i;
+    if (count == 1) return 0;
+    // i scaled onto [0, total-1]; strictly increasing since total > count.
+    return i * ((total - 1) / (count - 1)) +
+           (i * ((total - 1) % (count - 1))) / (count - 1);
+  }
+};
+
+/// The mask id holding `submask` at this operation's check positions and
+/// 0 everywhere else: the cell's run mask, and the exhaustive row that
+/// equals the cell.
 std::uint64_t expand_submask_bits(const OpChecks& oc, std::uint64_t submask) {
   std::uint64_t bits = 0;
   for (std::size_t j = 0; j < oc.positions.size(); ++j) {
@@ -117,10 +118,12 @@ std::uint64_t expand_submask_bits(const OpChecks& oc, std::uint64_t submask) {
   return bits;
 }
 
+/// Inverse of expand_submask_bits. Branch-free: mask bits are random
+/// across rows, so a branch per bit would mispredict half the time.
 std::uint64_t gather_submask(const OpChecks& oc, std::uint64_t mask_id) {
   std::uint64_t s = 0;
   for (std::size_t j = 0; j < oc.positions.size(); ++j) {
-    if ((mask_id >> oc.positions[j]) & 1) s |= std::uint64_t{1} << j;
+    s |= ((mask_id >> oc.positions[j]) & 1) << j;
   }
   return s;
 }
@@ -149,42 +152,61 @@ std::vector<std::uint64_t> operation_fingerprints(
 
 /// The memoized engine: per-operation outcome caches plus the gate
 /// composition that reconstitutes any full-mask row (DESIGN.md §10).
-/// With a SweepMemoStore the cache fill runs in three deterministic
-/// phases — serial lookup, parallel evaluation of the misses, serial
-/// insertion — so memo accounting is thread-count-invariant (§11).
+/// The cache fill runs in three deterministic phases — serial lookup in
+/// an optional SweepMemoStore, parallel evaluation of the misses, serial
+/// interning (and store insertion) in (operation, sub-mask) order — so
+/// the outcome table and the memo accounting are thread-count-invariant
+/// (§11).
 struct MemoizedEngine {
   std::vector<OpChecks> ops;
+  std::vector<apps::RunOutcome> outcomes;  ///< the interned table
   CacheEntry baseline;                          ///< all checks off
   std::vector<std::vector<CacheEntry>> cache;   ///< [op][submask]
   bool compose_from_last = false;  ///< SweepFault::kWrongGateComposition
 
-  /// Runs (or recalls) the shared all-checks-off baseline. The baseline
-  /// is keyed by the study-family name alone (fingerprint 0): a family
-  /// name identifies unchecked behaviour (DESIGN.md §11), so no
-  /// per-operation patch ever invalidates it.
+  [[nodiscard]] const apps::RunOutcome& outcome(std::uint32_t id) const {
+    return outcomes[id];
+  }
+
+  /// Interns one cell's outcomes; blocking means "differs from baseline".
+  CacheEntry intern_cell(apps::RunOutcome exploit, apps::RunOutcome benign) {
+    CacheEntry e;
+    e.exploit = intern(outcomes, std::move(exploit));
+    e.benign = intern(outcomes, std::move(benign));
+    e.exploit_blocks = e.exploit != baseline.exploit;
+    e.benign_blocks = e.benign != baseline.benign;
+    return e;
+  }
+
+  /// Runs (or recalls) the shared all-checks-off baseline and interns it
+  /// first. The baseline is keyed by the study-family name alone
+  /// (fingerprint 0): a family name identifies unchecked behaviour
+  /// (DESIGN.md §11), so no per-operation patch ever invalidates it.
   void fill_baseline(const apps::CaseStudy& study, std::size_t k,
                      LemmaReport& report, SweepMemoStore* memo) {
+    MemoEntry e;
+    bool hit = false;
     if (memo != nullptr) {
-      const MemoKey key{report.study_name, kBaselineOperation, 0};
-      if (auto e = memo->lookup(key, 0)) {
-        baseline.exploit = std::move(e->exploit);
-        baseline.benign = std::move(e->benign);
+      if (auto found = memo->lookup({report.study_name, kBaselineOperation, 0},
+                                    0)) {
+        e = std::move(*found);
+        hit = true;
         ++report.memo_hits;
-        return;
+      } else {
+        ++report.memo_misses;
       }
-      ++report.memo_misses;
     }
-    baseline.exploit = study.run_exploit(std::vector<bool>(k));
-    baseline.benign = study.run_benign(std::vector<bool>(k));
-    report.exploit_evaluations += 1;
-    report.benign_evaluations += 1;
-    if (memo != nullptr) {
-      MemoEntry e;
-      e.op_fingerprint = 0;
-      e.exploit = baseline.exploit;
-      e.benign = baseline.benign;
-      memo->insert({report.study_name, kBaselineOperation, 0}, std::move(e));
+    if (!hit) {
+      e.exploit = study.run_exploit(std::vector<bool>(k));
+      e.benign = study.run_benign(std::vector<bool>(k));
+      report.exploit_evaluations += 1;
+      report.benign_evaluations += 1;
+      if (memo != nullptr) {
+        memo->insert({report.study_name, kBaselineOperation, 0}, e);
+      }
     }
+    baseline.exploit = intern(outcomes, std::move(e.exploit));
+    baseline.benign = intern(outcomes, std::move(e.benign));
   }
 
   /// Fills the non-empty sub-mask cells of the given slots, recalling
@@ -200,65 +222,68 @@ struct MemoizedEngine {
     struct Cell {
       std::size_t op_slot = 0;
       std::uint64_t submask = 0;
+      bool recalled = false;  ///< served by the store
+      MemoEntry value;
     };
-    // Phase 1 (serial): deterministic lookup pass; misses become cells.
+    // Phase 1 (serial): deterministic lookup pass; misses are queued.
     std::vector<Cell> cells;
+    std::vector<std::size_t> misses;
     for (const std::size_t oi : slots) {
       const std::uint64_t sub_total = std::uint64_t{1}
                                       << ops[oi].positions.size();
       cache[oi].assign(static_cast<std::size_t>(sub_total), CacheEntry{});
       cache[oi][0] = baseline;
       for (std::uint64_t s = 1; s < sub_total; ++s) {
+        Cell cell;
+        cell.op_slot = oi;
+        cell.submask = s;
         if (memo != nullptr) {
           bool invalidated = false;
           if (auto e = memo->lookup({report.study_name, ops[oi].op, s},
                                     fps[oi], &invalidated)) {
-            CacheEntry c;
-            c.exploit = std::move(e->exploit);
-            c.benign = std::move(e->benign);
-            c.exploit_blocks = e->exploit_blocks;
-            c.benign_blocks = e->benign_blocks;
-            cache[oi][static_cast<std::size_t>(s)] = std::move(c);
+            cell.recalled = true;
+            cell.value = std::move(*e);
             ++report.memo_hits;
-            continue;
+          } else {
+            ++report.memo_misses;
+            if (invalidated) ++report.entries_invalidated;
           }
-          ++report.memo_misses;
-          if (invalidated) ++report.entries_invalidated;
         }
-        cells.push_back({oi, s});
+        if (!cell.recalled) misses.push_back(cells.size());
+        cells.push_back(std::move(cell));
       }
     }
-    // Phase 2 (parallel): evaluate the misses in index order.
-    const auto filled = runtime::parallel_map<CacheEntry>(
-        cells.size(), [&](std::size_t i) {
-          const auto& cell = cells[i];
-          const auto mask = expand_submask(ops[cell.op_slot], cell.submask, k);
-          CacheEntry e;
-          e.exploit = study.run_exploit(mask);
-          e.benign = study.run_benign(mask);
-          e.exploit_blocks = !(e.exploit == baseline.exploit);
-          e.benign_blocks = !(e.benign == baseline.benign);
-          return e;
-        });
-    // Phase 3 (serial): ascending-order insertion, so store recency and
-    // eviction order are byte-identical at every thread count.
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      cache[cells[i].op_slot][static_cast<std::size_t>(cells[i].submask)] =
-          filled[i];
-      if (memo != nullptr) {
-        MemoEntry e;
-        e.op_fingerprint = fps[cells[i].op_slot];
-        e.exploit = filled[i].exploit;
-        e.benign = filled[i].benign;
-        e.exploit_blocks = filled[i].exploit_blocks;
-        e.benign_blocks = filled[i].benign_blocks;
-        memo->insert({report.study_name, ops[cells[i].op_slot].op,
-                      cells[i].submask},
-                     std::move(e));
+    // Phase 2 (parallel): evaluate the misses; each writes its own cell.
+    runtime::parallel_for(misses.size(), [&](std::size_t begin,
+                                             std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) {
+        Cell& cell = cells[misses[i]];
+        const auto mask = mask_vector(
+            expand_submask_bits(ops[cell.op_slot], cell.submask), k);
+        cell.value.exploit = study.run_exploit(mask);
+        cell.value.benign = study.run_benign(mask);
+      }
+    });
+    // Phase 3 (serial): intern in ascending cell order, so the table and
+    // the store's recency/eviction order are identical at every thread
+    // count.
+    for (Cell& cell : cells) {
+      CacheEntry& slot =
+          cache[cell.op_slot][static_cast<std::size_t>(cell.submask)];
+      slot = intern_cell(cell.value.exploit, cell.value.benign);
+      if (cell.recalled) {
+        slot.exploit_blocks = cell.value.exploit_blocks;
+        slot.benign_blocks = cell.value.benign_blocks;
+      } else if (memo != nullptr) {
+        cell.value.op_fingerprint = fps[cell.op_slot];
+        cell.value.exploit_blocks = slot.exploit_blocks;
+        cell.value.benign_blocks = slot.benign_blocks;
+        memo->insert({report.study_name, ops[cell.op_slot].op, cell.submask},
+                     std::move(cell.value));
       }
     }
-    report.exploit_evaluations += cells.size();
-    report.benign_evaluations += cells.size();
+    report.exploit_evaluations += misses.size();
+    report.benign_evaluations += misses.size();
   }
 
   /// Evaluates each operation at most 2^{k_op} times: sub-mask 0 aliases
@@ -284,63 +309,86 @@ struct MemoizedEngine {
   /// mask the row reports; `effective_id` is the mask the composition
   /// gathers sub-masks from — they differ only for pinned (secured)
   /// compositions, where effective_id == row_id | pin.
-  [[nodiscard]] MaskResult compose(std::uint64_t row_id,
-                                   std::uint64_t effective_id,
-                                   std::size_t k) const {
-    MaskResult row;
-    row.mask = mask_bits(row_id, k);
-    const CacheEntry* exploit_owner = nullptr;
-    const CacheEntry* benign_owner = nullptr;
-    for (const auto& oc : ops) {
-      const std::size_t oi = static_cast<std::size_t>(&oc - ops.data());
-      const std::uint64_t s = gather_submask(oc, effective_id);
-      const CacheEntry& e = cache[oi][static_cast<std::size_t>(s)];
-      if (e.exploit_blocks && (!exploit_owner || compose_from_last)) {
-        exploit_owner = &e;
-      }
-      if (e.benign_blocks && (!benign_owner || compose_from_last)) {
-        benign_owner = &e;
-      }
+  [[nodiscard]] LemmaRow compose(std::uint64_t row_id,
+                                 std::uint64_t effective_id) const {
+    LemmaRow row{row_id, baseline.exploit, baseline.benign};
+    // Walking against gate order, every blocking cell overwrites, so the
+    // FIRST blocker ends up owning the row (the last one under
+    // kWrongGateComposition, which walks forward).
+    for (std::size_t n = ops.size(); n-- > 0;) {
+      const std::size_t oi = compose_from_last ? ops.size() - 1 - n : n;
+      const CacheEntry& e = cache[oi][static_cast<std::size_t>(
+          gather_submask(ops[oi], effective_id))];
+      row.exploit = e.exploit_blocks ? e.exploit : row.exploit;
+      row.benign = e.benign_blocks ? e.benign : row.benign;
     }
-    row.exploit = exploit_owner ? exploit_owner->exploit : baseline.exploit;
-    row.benign = benign_owner ? benign_owner->benign : baseline.benign;
     return row;
   }
 };
 
-/// Fills the verdict fields from the enumerated rows. `ids[i]` is the
-/// mask id of `report.results[i]` (rows ascend, so sampled sweeps keep
-/// the same logic).
-void finalize_report(LemmaReport& report, const std::vector<std::uint64_t>& ids) {
-  report.lemma2_holds = true;
-  report.benign_preserved = true;
-  const std::set<std::size_t> op_ids = [&] {
-    std::set<std::size_t> s;
-    for (const auto& c : report.checks) s.insert(c.operation_index);
-    return s;
-  }();
-  for (std::size_t i = 0; i < report.results.size(); ++i) {
-    MaskResult& row = report.results[i];
-    const std::uint64_t bits = ids[i];
-    for (std::size_t op : op_ids) {
-      if (operation_secured(report.checks, row.mask, op)) {
-        row.some_operation_secured = true;
-        break;
-      }
-    }
-    if (bits == 0) report.baseline_exploited = row.exploit.exploited;
-    if (bits == report.total_masks - 1) {
-      report.all_checks_foil = !row.exploit.exploited;
-    }
-    if (row.some_operation_secured && row.exploit.exploited) {
-      report.lemma2_holds = false;  // a counterexample to Lemma 2
-    }
-    if (!row.benign.service_ok) report.benign_preserved = false;
-    if (std::popcount(bits) == 1 && !row.exploit.exploited) {
-      report.foiling_single_checks.push_back(
-          static_cast<std::size_t>(std::countr_zero(bits)));
-    }
+/// One block's share of the verdicts, merged in block order.
+struct Verdicts {
+  bool baseline_exploited = false;
+  bool all_checks_foil = false;
+  bool lemma2_holds = true;
+  bool benign_preserved = true;
+  std::vector<std::size_t> foiling_single_checks;
+};
+
+/// Fills report.rows[i] = row_at(i) for every enumerated mask, sets each
+/// row's secured bit and folds the verdicts in the same parallel pass.
+/// report.outcomes must already hold every id row_at hands out; rows
+/// ascend, so sampled sweeps keep the same logic.
+template <typename RowAt>
+void compose_rows(LemmaReport& report, const std::vector<OpChecks>& ops,
+                  const MaskIds& ids, RowAt&& row_at) {
+  std::vector<std::uint64_t> op_bits;  ///< each operation's check bits
+  for (const auto& oc : ops) {
+    const std::uint64_t all_on = (std::uint64_t{1} << oc.positions.size()) - 1;
+    op_bits.push_back(expand_submask_bits(oc, all_on));
   }
+  report.rows.resize(static_cast<std::size_t>(ids.count));
+  auto v = runtime::parallel_reduce(
+      report.rows.size(), Verdicts{},
+      [&](std::size_t begin, std::size_t end) {
+        Verdicts b;
+        for (std::size_t i = begin; i < end; ++i) {
+          LemmaRow row = row_at(i);
+          const std::uint64_t id = row.mask;
+          bool secured = false;
+          for (const std::uint64_t bits : op_bits) {
+            secured |= (id & bits) == bits;
+          }
+          row.mask |= secured ? LemmaRow::kSecuredBit : 0;
+          const bool exploited = report.exploit_of(row).exploited;
+          if (id == 0) b.baseline_exploited = exploited;
+          if (id == report.total_masks - 1) b.all_checks_foil = !exploited;
+          if (row.secured() && exploited) {
+            b.lemma2_holds = false;  // a counterexample to Lemma 2
+          }
+          if (!report.benign_of(row).service_ok) b.benign_preserved = false;
+          if (std::has_single_bit(id) && !exploited) {
+            b.foiling_single_checks.push_back(
+                static_cast<std::size_t>(std::countr_zero(id)));
+          }
+          report.rows[i] = row;
+        }
+        return b;
+      },
+      [](Verdicts& acc, Verdicts&& b) {
+        acc.baseline_exploited = acc.baseline_exploited || b.baseline_exploited;
+        acc.all_checks_foil = acc.all_checks_foil || b.all_checks_foil;
+        acc.lemma2_holds = acc.lemma2_holds && b.lemma2_holds;
+        acc.benign_preserved = acc.benign_preserved && b.benign_preserved;
+        acc.foiling_single_checks.insert(acc.foiling_single_checks.end(),
+                                         b.foiling_single_checks.begin(),
+                                         b.foiling_single_checks.end());
+      });
+  report.baseline_exploited = v.baseline_exploited;
+  report.all_checks_foil = v.all_checks_foil;
+  report.lemma2_holds = v.lemma2_holds;
+  report.benign_preserved = v.benign_preserved;
+  report.foiling_single_checks = std::move(v.foiling_single_checks);
 }
 
 void require_sweepable(const std::string& study_name, std::size_t k,
@@ -371,30 +419,42 @@ LemmaReport sweep_prepared(const apps::CaseStudy& study,
   require_sweepable(report.study_name, k, options.max_masks);
 
   report.total_masks = std::uint64_t{1} << k;
-  const auto ids = sweep_mask_ids(report.total_masks, options.max_masks);
-  report.sampled = ids.size() < report.total_masks;
+  const MaskIds ids{report.total_masks, options.max_masks};
+  report.sampled = ids.count < report.total_masks;
 
   if (faulty_engine != nullptr || options.mode == SweepMode::kMemoized) {
     MemoizedEngine own;
     MemoizedEngine* engine = faulty_engine ? faulty_engine : &own;
     if (!faulty_engine) engine->fill(study, report.checks, report, options.memo);
-    report.results = runtime::parallel_map<MaskResult>(
-        ids.size(),
-        [&](std::size_t i) { return engine->compose(ids[i], ids[i], k); });
-  } else {
-    report.results = runtime::parallel_map<MaskResult>(
-        ids.size(), [&](std::size_t i) {
-          MaskResult row;
-          row.mask = mask_bits(ids[i], k);
-          row.exploit = study.run_exploit(row.mask);
-          row.benign = study.run_benign(row.mask);
-          return row;
-        });
-    report.exploit_evaluations = ids.size();
-    report.benign_evaluations = ids.size();
+    report.outcomes = engine->outcomes;
+    compose_rows(report, engine->ops, ids, [&](std::size_t i) {
+      return engine->compose(ids(i), ids(i));
+    });
+    return report;
   }
 
-  finalize_report(report, ids);
+  // Direct: run every row in parallel, then intern serially in row order
+  // so the table is the same at every thread count.
+  struct Runs {
+    apps::RunOutcome exploit;
+    apps::RunOutcome benign;
+  };
+  auto runs = runtime::parallel_map<Runs>(
+      static_cast<std::size_t>(ids.count), [&](std::size_t i) {
+        const auto mask = mask_vector(ids(i), k);
+        return Runs{study.run_exploit(mask), study.run_benign(mask)};
+      });
+  report.rows.resize(runs.size());
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    report.rows[i].mask = ids(i);
+    report.rows[i].exploit =
+        intern(report.outcomes, std::move(runs[i].exploit));
+    report.rows[i].benign = intern(report.outcomes, std::move(runs[i].benign));
+  }
+  report.exploit_evaluations = runs.size();
+  report.benign_evaluations = runs.size();
+  compose_rows(report, op_layout(report.checks), ids,
+               [&](std::size_t i) { return report.rows[i]; });
   return report;
 }
 
@@ -457,8 +517,7 @@ LemmaReport resweep(const apps::CaseStudy& study, const LemmaReport& baseline,
                                 baseline.study_name + "', not '" +
                                 study.name() + "'");
   }
-  if (baseline.sampled ||
-      baseline.results.size() != (std::uint64_t{1} << k)) {
+  if (baseline.sampled || baseline.rows.size() != (std::uint64_t{1} << k)) {
     throw std::invalid_argument(
         "resweep: baseline for '" + study.name() +
         "' must be an exhaustive (unsampled) sweep — its rows are the "
@@ -474,8 +533,10 @@ LemmaReport resweep(const apps::CaseStudy& study, const LemmaReport& baseline,
 
   MemoizedEngine engine;
   engine.ops = op_layout(report.checks);
-  engine.baseline.exploit = baseline.results[0].exploit;
-  engine.baseline.benign = baseline.results[0].benign;
+  engine.baseline.exploit =
+      intern(engine.outcomes, baseline.exploit_of(baseline.rows[0]));
+  engine.baseline.benign =
+      intern(engine.outcomes, baseline.benign_of(baseline.rows[0]));
 
   std::set<std::size_t> changed;
   for (const std::size_t op : delta.changed_operations) {
@@ -508,14 +569,10 @@ LemmaReport resweep(const apps::CaseStudy& study, const LemmaReport& baseline,
                             CacheEntry{});
     engine.cache[oi][0] = engine.baseline;
     for (std::uint64_t s = 1; s < sub_total; ++s) {
-      const auto& row = baseline.results[static_cast<std::size_t>(
+      const LemmaRow& row = baseline.rows[static_cast<std::size_t>(
           expand_submask_bits(engine.ops[oi], s))];
-      CacheEntry e;
-      e.exploit = row.exploit;
-      e.benign = row.benign;
-      e.exploit_blocks = !(e.exploit == engine.baseline.exploit);
-      e.benign_blocks = !(e.benign == engine.baseline.benign);
-      engine.cache[oi][static_cast<std::size_t>(s)] = std::move(e);
+      engine.cache[oi][static_cast<std::size_t>(s)] =
+          engine.intern_cell(baseline.exploit_of(row), baseline.benign_of(row));
     }
   }
   engine.fill_slots(study, k, changed_slots, report, options.memo);
@@ -525,12 +582,12 @@ LemmaReport resweep(const apps::CaseStudy& study, const LemmaReport& baseline,
   }
 
   report.total_masks = std::uint64_t{1} << k;
-  const auto ids = sweep_mask_ids(report.total_masks, options.max_masks);
-  report.sampled = ids.size() < report.total_masks;
-  report.results = runtime::parallel_map<MaskResult>(
-      ids.size(),
-      [&](std::size_t i) { return engine.compose(ids[i], ids[i] | pin, k); });
-  finalize_report(report, ids);
+  const MaskIds ids{report.total_masks, options.max_masks};
+  report.sampled = ids.count < report.total_masks;
+  report.outcomes = engine.outcomes;
+  compose_rows(report, engine.ops, ids, [&](std::size_t i) {
+    return engine.compose(ids(i), ids(i) | pin);
+  });
   return report;
 }
 
@@ -590,12 +647,12 @@ SweepSummary sweep_summary(const apps::CaseStudy& study,
       const CacheEntry& e =
           engine.cache[oi][static_cast<std::size_t>(pinned[oi] ? full : s)];
       if (e.exploit_blocks) {
-        if (e.exploit.exploited) ++tally[oi].exploit_lands;
+        if (engine.outcome(e.exploit).exploited) ++tally[oi].exploit_lands;
       } else {
         ++tally[oi].exploit_free;
       }
       if (e.benign_blocks) {
-        if (!e.benign.service_ok) ++tally[oi].benign_breaks;
+        if (!engine.outcome(e.benign).service_ok) ++tally[oi].benign_breaks;
       } else {
         ++tally[oi].benign_free;
       }
@@ -615,10 +672,12 @@ SweepSummary sweep_summary(const apps::CaseStudy& study,
         t.sub_total = 1;
         if (for_exploit) {
           t.exploit_free = e.exploit_blocks ? 0 : 1;
-          t.exploit_lands = (e.exploit_blocks && e.exploit.exploited) ? 1 : 0;
+          t.exploit_lands =
+              (e.exploit_blocks && engine.outcome(e.exploit).exploited) ? 1 : 0;
         } else {
           t.benign_free = e.benign_blocks ? 0 : 1;
-          t.benign_breaks = (e.benign_blocks && !e.benign.service_ok) ? 1 : 0;
+          t.benign_breaks =
+              (e.benign_blocks && !engine.outcome(e.benign).service_ok) ? 1 : 0;
         }
       }
       return t;
@@ -636,9 +695,9 @@ SweepSummary sweep_summary(const apps::CaseStudy& study,
       }
       total += term;
     }
-    const bool baseline_bad = for_exploit
-                                  ? engine.baseline.exploit.exploited
-                                  : !engine.baseline.benign.service_ok;
+    const bool baseline_bad =
+        for_exploit ? engine.outcome(engine.baseline.exploit).exploited
+                    : !engine.outcome(engine.baseline.benign).service_ok;
     if (baseline_bad) {
       std::uint64_t none_block = 1;
       for (std::size_t i = 0; i < nops && none_block != 0; ++i) {
@@ -671,9 +730,9 @@ SweepSummary sweep_summary(const apps::CaseStudy& study,
       const std::uint64_t full = tally[oi].sub_total - 1;
       const std::uint64_t s = (all_on || pinned[oi]) ? full : 0;
       const CacheEntry& e = engine.cache[oi][static_cast<std::size_t>(s)];
-      if (e.exploit_blocks) return e.exploit.exploited;
+      if (e.exploit_blocks) return engine.outcome(e.exploit).exploited;
     }
-    return engine.baseline.exploit.exploited;
+    return engine.outcome(engine.baseline.exploit).exploited;
   };
   summary.baseline_exploited = composed_exploited(/*all_on=*/false);
   summary.all_checks_foil = !composed_exploited(/*all_on=*/true);
@@ -682,7 +741,7 @@ SweepSummary sweep_summary(const apps::CaseStudy& study,
 
 bool reports_equivalent(const LemmaReport& a, const LemmaReport& b) {
   if (a.study_name != b.study_name) return false;
-  if (a.results.size() != b.results.size()) return false;
+  if (a.rows.size() != b.rows.size()) return false;
   if (a.baseline_exploited != b.baseline_exploited ||
       a.all_checks_foil != b.all_checks_foil ||
       a.lemma2_holds != b.lemma2_holds ||
@@ -691,12 +750,13 @@ bool reports_equivalent(const LemmaReport& a, const LemmaReport& b) {
       a.total_masks != b.total_masks || a.sampled != b.sampled) {
     return false;
   }
-  for (std::size_t i = 0; i < a.results.size(); ++i) {
-    const MaskResult& x = a.results[i];
-    const MaskResult& y = b.results[i];
-    if (x.mask != y.mask || !(x.exploit == y.exploit) ||
-        !(x.benign == y.benign) ||
-        x.some_operation_secured != y.some_operation_secured) {
+  // Table order may differ between engines: compare resolved outcomes.
+  // `mask` carries the secured bit, so secured flags are compared too.
+  for (std::size_t i = 0; i < a.rows.size(); ++i) {
+    const LemmaRow& x = a.rows[i];
+    const LemmaRow& y = b.rows[i];
+    if (x.mask != y.mask || !(a.exploit_of(x) == b.exploit_of(y)) ||
+        !(a.benign_of(x) == b.benign_of(y))) {
       return false;
     }
   }
@@ -729,17 +789,23 @@ std::optional<SweepFaultReport> sweep_with_fault(const apps::CaseStudy& study,
   switch (fault) {
     case SweepFault::kStaleSubmaskEntry:
     case SweepFault::kFlippedCacheOutcome: {
-      // Corrupt the first blocking cell (ascending op, then sub-mask):
-      // the mask that is exactly that cell's expansion composes through
-      // it, so the corruption is guaranteed to surface in some row.
+      // Corrupt the first blocking cell (ascending op, then sub-mask;
+      // for a flipped exploit outcome, the first cell whose EXPLOIT run
+      // blocks, so the flipped table entry is never the baseline's): the
+      // mask that is exactly that cell's expansion composes through it,
+      // so the corruption is guaranteed to surface in some row.
+      const bool flip = fault == SweepFault::kFlippedCacheOutcome;
       for (std::size_t oi = 0; oi < engine.cache.size(); ++oi) {
         for (std::size_t s = 1; s < engine.cache[oi].size(); ++s) {
           CacheEntry& e = engine.cache[oi][s];
-          if (!e.exploit_blocks && !e.benign_blocks) continue;
-          if (fault == SweepFault::kStaleSubmaskEntry) {
+          if (!e.exploit_blocks && (flip || !e.benign_blocks)) continue;
+          if (!flip) {
             e = engine.baseline;  // stale: pre-fill (all-checks-off) value
           } else {
-            e.exploit.exploited = !e.exploit.exploited;
+            // Flipped in the shared table: every cell and row holding
+            // this outcome inherits the corrupted verdict.
+            auto& outcome = engine.outcomes[e.exploit];
+            outcome.exploited = !outcome.exploited;
           }
           out.target = "operation " + std::to_string(engine.ops[oi].op) +
                        " submask " + std::to_string(s);
@@ -764,8 +830,7 @@ std::optional<SweepFaultReport> sweep_with_fault(const apps::CaseStudy& study,
             for (std::size_t s2 = 1; s2 < engine.cache[oj].size(); ++s2) {
               if (oi == oj && s == s2) continue;
               const CacheEntry& donor = engine.cache[oj][s2];
-              if (entries_equal(donor, victim) ||
-                  entries_equal(donor, engine.baseline)) {
+              if (donor == victim || donor == engine.baseline) {
                 continue;
               }
               if (!donor.exploit_blocks && !donor.benign_blocks) continue;
@@ -819,9 +884,9 @@ std::optional<SweepFaultReport> sweep_with_fault(const apps::CaseStudy& study,
               // diverges only where both cells block the same workload
               // with different outcomes.
               if ((ei.exploit_blocks && ej.exploit_blocks &&
-                   !(ei.exploit == ej.exploit)) ||
+                   ei.exploit != ej.exploit) ||
                   (ei.benign_blocks && ej.benign_blocks &&
-                   !(ei.benign == ej.benign))) {
+                   ei.benign != ej.benign)) {
                 hostable = true;
                 break;
               }

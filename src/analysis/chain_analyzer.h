@@ -51,19 +51,41 @@ namespace dfsm::analysis {
 
 class SweepMemoStore;  // sweep_memo.h
 
-/// One row of the sweep: a mask and what happened under it.
-struct MaskResult {
-  std::vector<bool> mask;
-  apps::RunOutcome exploit;
-  apps::RunOutcome benign;
-  bool some_operation_secured = false;  ///< >=1 operation has all checks on
+/// One row of the sweep, 16 bytes: bits 0..k-1 of `mask` are the check
+/// mask (bit i == check i enabled), bit 63 flags that at least one
+/// operation has every one of its checks on (k <= 62, so the bit is
+/// free), and `exploit` / `benign` index LemmaReport::outcomes.
+struct LemmaRow {
+  static constexpr std::uint64_t kSecuredBit = std::uint64_t{1} << 63;
+
+  std::uint64_t mask = 0;
+  std::uint32_t exploit = 0;
+  std::uint32_t benign = 0;
+
+  /// The mask id with the secured flag stripped.
+  [[nodiscard]] std::uint64_t mask_id() const { return mask & ~kSecuredBit; }
+  /// Whether check `i` is enabled under this row.
+  [[nodiscard]] bool check_on(std::size_t i) const { return (mask >> i) & 1; }
+  /// Whether >= 1 operation has all of its checks on.
+  [[nodiscard]] bool secured() const { return (mask & kSecuredBit) != 0; }
 };
+static_assert(sizeof(LemmaRow) == 16, "LemmaRow must stay a 16-byte row");
 
 /// Full sweep over one case study.
 struct LemmaReport {
   std::string study_name;
   std::vector<apps::CheckSpec> checks;
-  std::vector<MaskResult> results;  ///< mask rows in ascending mask order
+  /// Distinct outcomes, interned in an order that depends only on the
+  /// study and options (never on DFSM_THREADS); rows index into it.
+  std::vector<apps::RunOutcome> outcomes;
+  std::vector<LemmaRow> rows;  ///< mask rows in ascending mask order
+
+  [[nodiscard]] const apps::RunOutcome& exploit_of(const LemmaRow& r) const {
+    return outcomes[r.exploit];
+  }
+  [[nodiscard]] const apps::RunOutcome& benign_of(const LemmaRow& r) const {
+    return outcomes[r.benign];
+  }
 
   bool baseline_exploited = false;   ///< mask 0...0 exploited
   bool all_checks_foil = false;      ///< mask 1...1 not exploited
@@ -75,7 +97,7 @@ struct LemmaReport {
 
   // --- sweep accounting --------------------------------------------------
   std::uint64_t total_masks = 0;  ///< 2^k (even when rows were sampled)
-  bool sampled = false;           ///< results hold a max_masks subset
+  bool sampled = false;           ///< rows hold a max_masks subset
   /// How many times study.run_exploit / run_benign actually ran. Direct:
   /// one each per row. Memoized: at most 1 + sum_ops (2^{k_op} - 1) each
   /// regardless of 2^k (tests assert the bound); with a memo store
@@ -95,8 +117,8 @@ enum class SweepMode {
   kDirect,    ///< one full study run per mask (reference semantics)
 };
 
-/// Checks-count ceiling for exhaustive sweeps: 2^26 MaskResult rows is
-/// already multi-GiB of report; beyond it a sweep must sample.
+/// Checks-count ceiling for exhaustive sweeps: 2^26 16-byte rows is
+/// already 1 GiB of report; beyond it a sweep must sample.
 inline constexpr std::size_t kMaxExhaustiveSweepChecks = 26;
 
 struct SweepOptions {
@@ -193,9 +215,10 @@ struct SweepSummary {
 [[nodiscard]] bool operation_secured(const std::vector<apps::CheckSpec>& checks,
                                      const std::vector<bool>& mask, std::size_t op);
 
-/// Result equality modulo accounting: same rows (masks, outcomes,
-/// secured flags) and same verdicts, ignoring evaluation counters and
-/// memo telemetry. This is the memoized-vs-direct cross-check contract.
+/// Result equality modulo accounting: same rows (masks, resolved
+/// outcomes, secured flags) and same verdicts, ignoring outcome-table
+/// order, evaluation counters and memo telemetry. This is the
+/// memoized-vs-direct cross-check contract.
 [[nodiscard]] bool reports_equivalent(const LemmaReport& a,
                                       const LemmaReport& b);
 
@@ -210,8 +233,9 @@ enum class SweepFault {
   /// A blocking sub-mask entry is overwritten with the baseline outcome,
   /// as if the cache were stale from a previous (all-checks-off) fill.
   kStaleSubmaskEntry,
-  /// A blocking entry's cached exploit outcome has its `exploited` bit
-  /// flipped (memoized rows inherit the corrupted verdict).
+  /// The outcome-table entry of the first cell whose exploit run blocks
+  /// has its `exploited` bit flipped (never the baseline's entry;
+  /// memoized rows holding that outcome inherit the corrupted verdict).
   kFlippedCacheOutcome,
   /// Rows are composed from the LAST blocking operation instead of the
   /// first — the propagation-gate order is applied backwards.

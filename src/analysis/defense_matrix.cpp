@@ -185,16 +185,16 @@ std::string operation_display_name(const core::FsmModel& model,
 
 std::uint64_t count_exploited_rows(const LemmaReport& r) {
   std::uint64_t n = 0;
-  for (const auto& row : r.results) {
-    if (row.exploit.exploited) ++n;
+  for (const auto& row : r.rows) {
+    if (r.exploit_of(row).exploited) ++n;
   }
   return n;
 }
 
 std::uint64_t count_benign_broken_rows(const LemmaReport& r) {
   std::uint64_t n = 0;
-  for (const auto& row : r.results) {
-    if (!row.benign.service_ok) ++n;
+  for (const auto& row : r.rows) {
+    if (!r.benign_of(row).service_ok) ++n;
   }
   return n;
 }

@@ -97,7 +97,7 @@ std::string render_lemma(const std::vector<LemmaReport>& reports) {
       singles += r.checks[idx].name.substr(0, r.checks[idx].name.find(':'));
     }
     t.add_row({r.study_name, std::to_string(r.checks.size()),
-               std::to_string(r.results.size()),
+               std::to_string(r.rows.size()),
                r.baseline_exploited ? "yes" : "NO",
                r.all_checks_foil ? "yes" : "NO", r.lemma2_holds ? "yes" : "NO",
                r.benign_preserved ? "yes" : "NO",
@@ -109,16 +109,18 @@ std::string render_lemma(const std::vector<LemmaReport>& reports) {
 std::string render_mask_table(const LemmaReport& report) {
   TextTable t{{"Mask", "Operation secured", "Exploited", "Foiled", "Benign OK",
                "Detail"}};
-  t.title(report.study_name + ": all " + std::to_string(report.results.size()) +
+  t.title(report.study_name + ": all " + std::to_string(report.rows.size()) +
           " check combinations");
-  for (const auto& row : report.results) {
+  for (const auto& row : report.rows) {
     std::string mask;
-    for (bool b : row.mask) mask += b ? '1' : '0';
-    t.add_row({mask, row.some_operation_secured ? "yes" : "no",
-               row.exploit.exploited ? "YES" : "no",
-               row.exploit.foiled ? "yes" : "no",
-               row.benign.service_ok ? "yes" : "NO",
-               row.exploit.detail.substr(0, 56)});
+    for (std::size_t i = 0; i < report.checks.size(); ++i) {
+      mask += row.check_on(i) ? '1' : '0';
+    }
+    const auto& exploit = report.exploit_of(row);
+    t.add_row({mask, row.secured() ? "yes" : "no",
+               exploit.exploited ? "YES" : "no", exploit.foiled ? "yes" : "no",
+               report.benign_of(row).service_ok ? "yes" : "NO",
+               exploit.detail.substr(0, 56)});
   }
   return t.to_string();
 }

@@ -46,6 +46,15 @@ std::vector<std::size_t> comma_offsets(const std::string& row) {
   return offsets;
 }
 
+/// 0-based line index of a shard's first generated data row. The rows
+/// are always the shard's LAST data_rows lines: the header mutators add
+/// or remove lines only above them, and no mutator adds or removes a
+/// line below them.
+std::size_t first_data_line(const std::vector<std::string>& lines,
+                            std::size_t data_rows) {
+  return lines.size() - data_rows;
+}
+
 /// Index of a shard with at least one data row. The campaign always
 /// generates more records than shards, so one exists.
 std::size_t pick_data_shard(const ShardSet& shards, Rng& rng) {
@@ -83,7 +92,8 @@ CorpusMutation truncate_tail(ShardSet& shards, Rng& rng) {
 CorpusMutation mangle_quoting(ShardSet& shards, Rng& rng) {
   const std::size_t s = pick_data_shard(shards, rng);
   auto lines = split_lines(shards.contents[s]);
-  const std::size_t row = 1 + rng.below(shards.data_rows[s]);  // skip header
+  const std::size_t row = first_data_line(lines, shards.data_rows[s]) +
+                          rng.below(shards.data_rows[s]);
   std::string& text = lines[row];
   const auto commas = comma_offsets(text);
   // Insert at or before the 9th separator: the unterminated quote then
@@ -105,7 +115,8 @@ CorpusMutation mangle_quoting(ShardSet& shards, Rng& rng) {
 CorpusMutation corrupt_field(ShardSet& shards, Rng& rng) {
   const std::size_t s = pick_data_shard(shards, rng);
   auto lines = split_lines(shards.contents[s]);
-  const std::size_t row = 1 + rng.below(shards.data_rows[s]);
+  const std::size_t row = first_data_line(lines, shards.data_rows[s]) +
+                          rng.below(shards.data_rows[s]);
   lines[row].insert(0, 1, 'x');  // id field becomes non-numeric
   shards.contents[s] = join_lines(lines);
   CorpusMutation m;
@@ -120,7 +131,11 @@ CorpusMutation corrupt_field(ShardSet& shards, Rng& rng) {
 CorpusMutation missing_header(ShardSet& shards, Rng& rng) {
   const std::size_t s = rng.below(shards.paths.size());
   auto lines = split_lines(shards.contents[s]);
-  lines.erase(lines.begin());
+  // A shard whose header is already gone has no line above its rows;
+  // erasing line 0 then would delete a generated row.
+  if (first_data_line(lines, shards.data_rows[s]) > 0) {
+    lines.erase(lines.begin());
+  }
   shards.contents[s] = join_lines(lines);
   CorpusMutation m;
   m.fault = CorpusFault::kMissingHeader;
@@ -134,6 +149,10 @@ CorpusMutation missing_header(ShardSet& shards, Rng& rng) {
 CorpusMutation duplicate_header(ShardSet& shards, Rng& rng) {
   const std::size_t s = rng.below(shards.paths.size());
   auto lines = split_lines(shards.contents[s]);
+  if (lines.empty()) {  // a header-only shard that lost its header
+    throw std::invalid_argument(
+        "duplicate-header fault needs a non-empty shard");
+  }
   lines.insert(lines.begin() + 1, lines.front());
   shards.contents[s] = join_lines(lines);
   CorpusMutation m;

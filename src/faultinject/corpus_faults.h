@@ -45,7 +45,10 @@ inline constexpr std::array<CorpusFault, 9> kAllCorpusFaults = {
 [[nodiscard]] const char* to_string(CorpusFault f) noexcept;
 
 /// An in-memory shard set: paths in read order, each path's file
-/// contents, and how many generated data rows each shard carries.
+/// contents, and how many generated data rows each shard carries. Every
+/// mutator keeps a shard's generated rows as its LAST data_rows[s] lines
+/// (header faults only add or remove lines above them), so row mutators
+/// stay in bounds however mutations compose on one shard.
 struct ShardSet {
   std::vector<std::string> paths;
   std::vector<std::string> contents;   ///< parallel to paths

@@ -22,14 +22,6 @@ apps::SyntheticStudyConfig synthetic_config(std::size_t ops,
   return c;
 }
 
-std::uint64_t mask_bits(const std::vector<bool>& mask) {
-  std::uint64_t bits = 0;
-  for (std::size_t i = 0; i < mask.size(); ++i) {
-    if (mask[i]) bits |= std::uint64_t{1} << i;
-  }
-  return bits;
-}
-
 /// 1 + sum over operations of (2^{k_op} - 1): the memoized engine's
 /// evaluation budget (one shared baseline + every non-empty sub-mask).
 std::size_t memoized_budget(const std::vector<apps::CheckSpec>& checks) {
@@ -58,10 +50,13 @@ TEST(OperationSecured, RequiresEveryCheckOfTheOperation) {
 TEST(Sweep, EnumeratesAllMasksInBinaryOrder) {
   const auto studies = apps::all_case_studies();
   const auto report = sweep(*studies[0]);  // Sendmail, 3 checks
-  EXPECT_EQ(report.results.size(), 8u);
-  EXPECT_EQ(report.results[0].mask, (std::vector<bool>{false, false, false}));
-  EXPECT_EQ(report.results[5].mask, (std::vector<bool>{true, false, true}));
-  EXPECT_EQ(report.results[7].mask, (std::vector<bool>{true, true, true}));
+  ASSERT_EQ(report.rows.size(), 8u);
+  EXPECT_EQ(report.rows[0].mask_id(), 0u);
+  EXPECT_EQ(report.rows[5].mask_id(), 5u);  // checks 0 and 2 on
+  EXPECT_TRUE(report.rows[5].check_on(0));
+  EXPECT_FALSE(report.rows[5].check_on(1));
+  EXPECT_TRUE(report.rows[5].check_on(2));
+  EXPECT_EQ(report.rows[7].mask_id(), 7u);
 }
 
 TEST(Sweep, SendmailBaselineAndFullProtection) {
@@ -113,9 +108,9 @@ TEST(Sweep, EveryStudyHasAtLeastOneFoilingSingleCheck) {
 
 TEST(Sweep, MasksThatSecureAnOperationNeverExploit) {
   for (const auto& report : sweep_all()) {
-    for (const auto& row : report.results) {
-      if (row.some_operation_secured) {
-        EXPECT_FALSE(row.exploit.exploited)
+    for (const auto& row : report.rows) {
+      if (row.secured()) {
+        EXPECT_FALSE(report.exploit_of(row).exploited)
             << report.study_name << " violated Lemma 2";
       }
     }
@@ -124,8 +119,8 @@ TEST(Sweep, MasksThatSecureAnOperationNeverExploit) {
 
 TEST(Sweep, ChecksNeverBreakBenignService) {
   for (const auto& report : sweep_all()) {
-    for (const auto& row : report.results) {
-      EXPECT_TRUE(row.benign.service_ok)
+    for (const auto& row : report.rows) {
+      EXPECT_TRUE(report.benign_of(row).service_ok)
           << report.study_name << " benign traffic failed under a mask";
     }
   }
@@ -160,7 +155,7 @@ TEST(MemoizedSweep, EvaluationCountStaysWithinTheLemmaBound) {
     EXPECT_LE(report.exploit_evaluations, loose) << study->name();
 
     const auto reference = sweep(*study, direct);
-    EXPECT_EQ(reference.exploit_evaluations, reference.results.size())
+    EXPECT_EQ(reference.exploit_evaluations, reference.rows.size())
         << study->name();
   }
 }
@@ -172,7 +167,7 @@ TEST(MemoizedSweep, MatchesDirectOnTheSyntheticWideChain) {
   const auto memoized = sweep(*study);
   const auto reference = sweep(*study, direct);
   EXPECT_TRUE(reports_equivalent(memoized, reference));
-  EXPECT_EQ(memoized.results.size(), std::size_t{1} << 12);
+  EXPECT_EQ(memoized.rows.size(), std::size_t{1} << 12);
   // 3 operations x 4 checks: 1 + 3 * 15 = 46 runs instead of 4096.
   EXPECT_EQ(memoized.exploit_evaluations, 46u);
 }
@@ -195,16 +190,16 @@ TEST(Sweep, SampledSweepPinsBaselineAndAllChecksRows) {
   const auto report = sweep(*study, options);
   EXPECT_TRUE(report.sampled);
   EXPECT_EQ(report.total_masks, std::uint64_t{1} << 28);
-  ASSERT_EQ(report.results.size(), 512u);
-  EXPECT_EQ(mask_bits(report.results.front().mask), 0u);
-  EXPECT_EQ(mask_bits(report.results.back().mask),
-            (std::uint64_t{1} << 28) - 1);
-  for (std::size_t i = 1; i < report.results.size(); ++i) {
-    EXPECT_LT(mask_bits(report.results[i - 1].mask),
-              mask_bits(report.results[i].mask));
+  ASSERT_EQ(report.rows.size(), 512u);
+  EXPECT_EQ(report.rows.front().mask_id(), 0u);
+  EXPECT_EQ(report.rows.back().mask_id(), (std::uint64_t{1} << 28) - 1);
+  for (std::size_t i = 1; i < report.rows.size(); ++i) {
+    EXPECT_LT(report.rows[i - 1].mask_id(), report.rows[i].mask_id());
   }
   EXPECT_TRUE(report.baseline_exploited);
   EXPECT_TRUE(report.all_checks_foil);
+  EXPECT_TRUE(report.lemma2_holds);
+  EXPECT_TRUE(report.benign_preserved);
 }
 
 TEST(Sweep, SampledSweepIsDeterministicAcrossEngines) {
@@ -218,6 +213,15 @@ TEST(Sweep, SampledSweepIsDeterministicAcrossEngines) {
   const auto c = sweep(*study, direct);
   EXPECT_TRUE(reports_equivalent(a, b));
   EXPECT_TRUE(reports_equivalent(a, c));
+  // k = 20: the sample keeps both endpoints, and the verdicts (checked
+  // against the direct engine above) hold.
+  ASSERT_EQ(a.rows.size(), 200u);
+  EXPECT_EQ(a.rows.front().mask_id(), 0u);
+  EXPECT_EQ(a.rows.back().mask_id(), (std::uint64_t{1} << 20) - 1);
+  EXPECT_TRUE(a.baseline_exploited);
+  EXPECT_TRUE(a.all_checks_foil);
+  EXPECT_TRUE(a.lemma2_holds);
+  EXPECT_TRUE(a.benign_preserved);
 }
 
 TEST(Sweep, SweepAllHonoursOptions) {

@@ -24,13 +24,13 @@ std::set<std::size_t> operation_ids(const apps::CaseStudy& study) {
 
 std::uint64_t exploited_rows(const LemmaReport& r) {
   std::uint64_t n = 0;
-  for (const auto& row : r.results) n += row.exploit.exploited ? 1 : 0;
+  for (const auto& row : r.rows) n += r.exploit_of(row).exploited ? 1 : 0;
   return n;
 }
 
 std::uint64_t benign_broken_rows(const LemmaReport& r) {
   std::uint64_t n = 0;
-  for (const auto& row : r.results) n += row.benign.service_ok ? 0 : 1;
+  for (const auto& row : r.rows) n += r.benign_of(row).service_ok ? 0 : 1;
   return n;
 }
 
@@ -79,7 +79,9 @@ TEST(Resweep, AllOperationsChangedEqualsTheDirectSweepOnEveryCaseStudy) {
 TEST(Resweep, SecuredDeltaEqualsSweepingTheSecuredStudyOnEveryCaseStudy) {
   // The tentpole contract: one baseline sweep + k compositions == k full
   // sweeps of the k secured variants, against BOTH reference engines.
-  for (const auto& study : apps::all_case_studies()) {
+  auto studies = apps::all_case_studies();
+  studies.push_back(apps::make_synthetic_wide_study(small_synthetic()));
+  for (const auto& study : studies) {
     const LemmaReport baseline = sweep(*study);
     for (const std::size_t op : operation_ids(*study)) {
       SweepDelta delta;

@@ -230,5 +230,40 @@ TEST_F(ComposedTest, EveryDrawnCompositionPassesItsExpectations) {
   EXPECT_GT(four_wide, 0u);
 }
 
+TEST_F(ComposedTest, PinnedSeedMissingHeaderThenRowMutatorsStaysInBounds) {
+  // Seed 406001275's only trial composes missing-header with
+  // mangle-quoting and corrupt-field. A row mutator re-rolled onto the
+  // header-less shard used to index one line past its end (a double
+  // free that aborted the campaign).
+  auto cfg = config();
+  cfg.seed = 406001275;
+  const auto report = run_campaign(cfg);
+  ASSERT_EQ(report.trials.size(), 1u);
+  EXPECT_EQ(report.composed_trials, 1u);
+  EXPECT_TRUE(report.ok()) << report.trials[0].failure;
+}
+
+TEST_F(ComposedTest, EveryOrderedCorpusMutatorPairPassesItsExpectations) {
+  std::vector<ComposedMutator> corpus;
+  for (const ComposedMutator m : kAllComposedMutators) {
+    if (is_corpus_mutator(m)) corpus.push_back(m);
+  }
+  ASSERT_EQ(corpus.size(), 9u);
+  const auto d = deps();
+  for (const ComposedMutator first : corpus) {
+    for (const ComposedMutator second : corpus) {
+      if (first == second) continue;
+      for (std::uint64_t seed = 0; seed < 3; ++seed) {
+        Rng rng{seed, static_cast<std::uint64_t>(first) * 16 +
+                          static_cast<std::uint64_t>(second)};
+        const auto r = run_composed_trial_with({first, second}, config(), 0,
+                                               rng, d);
+        EXPECT_TRUE(r.ok) << r.fault << " seed " << seed << ": " << r.failure;
+        EXPECT_TRUE(r.conserved) << r.fault << " seed " << seed;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dfsm::faultinject

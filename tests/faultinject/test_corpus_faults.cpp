@@ -2,6 +2,7 @@
 // break strict parsing, every benign fault really does not, mutations
 // are deterministic in the rng, and the zero-silent-loss accounting
 // holds through a lenient in-memory ingest.
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -165,6 +166,51 @@ TEST(CorpusFaults, UnreadableShardExhaustsTheRetryBudget) {
   EXPECT_TRUE(mut.expect_strict_throw);
   ASSERT_EQ(mut.lost_shards.size(), 1u);
   EXPECT_EQ(mut.lost_shards[0], mut.shard);
+}
+
+std::size_t line_count(const std::string& contents) {
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < contents.size(); ++i) {
+    if (contents[i] == '\n' || i + 1 == contents.size()) ++n;
+  }
+  return n;
+}
+
+TEST(CorpusFaults, EveryOrderedPairOnOneShardSetKeepsRowsInBounds) {
+  // No claim discipline here: both mutators may land on the same shard
+  // (three shards of four rows make that common). Row mutators must still
+  // edit one of the shard's generated rows — its last data_rows lines —
+  // whatever the header faults did to the lines above them.
+  for (const CorpusFault first : kAllCorpusFaults) {
+    for (const CorpusFault second : kAllCorpusFaults) {
+      for (std::uint64_t stream = 0; stream < 8; ++stream) {
+        ShardSet set = make_set(12, 3, 17);
+        Rng rng{31, stream};
+        for (const CorpusFault fault : {first, second}) {
+          const auto mut = apply_corpus_fault(fault, set, rng);
+          const std::string where = std::string(to_string(first)) + "+" +
+                                    to_string(second) + " stream " +
+                                    std::to_string(stream);
+          ASSERT_EQ(set.contents.size(), set.paths.size()) << where;
+          ASSERT_EQ(set.data_rows.size(), set.paths.size()) << where;
+          for (std::size_t s = 0; s < set.paths.size(); ++s) {
+            EXPECT_GE(line_count(set.contents[s]), set.data_rows[s]) << where;
+          }
+          if (fault != CorpusFault::kMangleQuoting &&
+              fault != CorpusFault::kCorruptField) {
+            continue;
+          }
+          const auto it =
+              std::find(set.paths.begin(), set.paths.end(), mut.shard);
+          ASSERT_NE(it, set.paths.end()) << where;
+          const auto s = static_cast<std::size_t>(it - set.paths.begin());
+          const std::size_t lines = line_count(set.contents[s]);
+          EXPECT_GT(mut.line, lines - set.data_rows[s]) << where;
+          EXPECT_LE(mut.line, lines) << where;
+        }
+      }
+    }
+  }
 }
 
 TEST(CorpusFaults, RejectsDegenerateInputs) {

@@ -149,7 +149,7 @@ TEST(EndToEnd, LemmaSweepCoversEveryRegisteredStudy) {
   const auto reports = analysis::sweep_all();
   EXPECT_EQ(reports.size(), apps::all_case_studies().size());
   std::size_t total_masks = 0;
-  for (const auto& r : reports) total_masks += r.results.size();
+  for (const auto& r : reports) total_masks += r.rows.size();
   // 8 + 16 + 16 + 4 + 4 + 4 + 4 + 4 (paper studies) + 3 * 4 (the
   // format-string family) = 72 configurations, all executed.
   EXPECT_EQ(total_masks, 72u);

@@ -2,6 +2,8 @@
 // invariants.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "analysis/chain_analyzer.h"
 #include "apps/case_study.h"
 #include "apps/ghttpd.h"
@@ -61,6 +63,13 @@ struct PostCase {
   std::int32_t content_len;
   std::size_t body_len;
 };
+
+// gtest would otherwise print the struct as a byte dump, padding bytes
+// included, and those bytes end up in the ctest names.
+void PrintTo(const PostCase& c, std::ostream* os) {
+  *os << "{content_len=" << c.content_len << ", body_len=" << c.body_len
+      << "}";
+}
 
 class BoundedLoopProperty : public ::testing::TestWithParam<PostCase> {};
 

@@ -177,12 +177,14 @@ auto at_thread_counts(Fn&& fn) {
 
 std::string render_report(const analysis::LemmaReport& r) {
   std::string out = r.study_name;
-  for (const auto& row : r.results) {
+  for (const auto& row : r.rows) {
     out += '\n';
-    for (const bool b : row.mask) out += b ? '1' : '0';
-    out += ' ' + row.exploit.detail + '|' + row.benign.detail +
-           (row.exploit.exploited ? " E" : "") +
-           (row.some_operation_secured ? " S" : "");
+    for (std::size_t i = 0; i < r.checks.size(); ++i) {
+      out += row.check_on(i) ? '1' : '0';
+    }
+    out += ' ' + r.exploit_of(row).detail + '|' + r.benign_of(row).detail +
+           (r.exploit_of(row).exploited ? " E" : "") +
+           (row.secured() ? " S" : "");
   }
   out += "\nverdicts " + std::to_string(r.baseline_exploited) +
          std::to_string(r.all_checks_foil) + std::to_string(r.lemma2_holds) +
