@@ -20,13 +20,12 @@
 #include <string>
 #include <vector>
 
+#include "analysis/sweep_memo.h"
 #include "apps/case_study.h"
 #include "core/model.h"
 #include "staticlint/model_ir.h"
 
 namespace dfsm::analysis {
-
-class SweepMemoStore;  // sweep_memo.h
 
 /// Privilege the attacker holds on a host.
 enum class Privilege {

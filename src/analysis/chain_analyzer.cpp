@@ -152,11 +152,10 @@ std::vector<std::uint64_t> operation_fingerprints(
 
 /// The memoized engine: per-operation outcome caches plus the gate
 /// composition that reconstitutes any full-mask row (DESIGN.md §10).
-/// The cache fill runs in three deterministic phases — serial lookup in
-/// an optional SweepMemoStore, parallel evaluation of the misses, serial
-/// interning (and store insertion) in (operation, sub-mask) order — so
-/// the outcome table and the memo accounting are thread-count-invariant
-/// (§11).
+/// The cache fills go through runtime::memo_fill over an optional
+/// SweepMemoStore, then intern serially in (operation, sub-mask) order,
+/// so the outcome table and the memo accounting are
+/// thread-count-invariant (§11).
 struct MemoizedEngine {
   std::vector<OpChecks> ops;
   std::vector<apps::RunOutcome> outcomes;  ///< the interned table
@@ -184,35 +183,28 @@ struct MemoizedEngine {
   /// (DESIGN.md §11), so no per-operation patch ever invalidates it.
   void fill_baseline(const apps::CaseStudy& study, std::size_t k,
                      LemmaReport& report, SweepMemoStore* memo) {
-    MemoEntry e;
-    bool hit = false;
-    if (memo != nullptr) {
-      if (auto found = memo->lookup({report.study_name, kBaselineOperation, 0},
-                                    0)) {
-        e = std::move(*found);
-        hit = true;
-        ++report.memo_hits;
-      } else {
-        ++report.memo_misses;
-      }
-    }
-    if (!hit) {
-      e.exploit = study.run_exploit(std::vector<bool>(k));
-      e.benign = study.run_benign(std::vector<bool>(k));
-      report.exploit_evaluations += 1;
-      report.benign_evaluations += 1;
-      if (memo != nullptr) {
-        memo->insert({report.study_name, kBaselineOperation, 0}, e);
-      }
-    }
-    baseline.exploit = intern(outcomes, std::move(e.exploit));
-    baseline.benign = intern(outcomes, std::move(e.benign));
+    auto fill = runtime::memo_fill(
+        memo, 1,
+        [&](std::size_t) {
+          return MemoKey{report.study_name, kBaselineOperation, 0};
+        },
+        [](std::size_t) { return std::uint64_t{0}; },
+        [&](std::size_t) {
+          return MemoEntry{study.run_exploit(std::vector<bool>(k)),
+                           study.run_benign(std::vector<bool>(k))};
+        });
+    account(fill, report);
+    baseline.exploit = intern(outcomes, std::move(fill.values[0].exploit));
+    baseline.benign = intern(outcomes, std::move(fill.values[0].benign));
   }
 
   /// Fills the non-empty sub-mask cells of the given slots, recalling
   /// what the store can serve and evaluating the rest in one parallel
-  /// pass. Requires fill_baseline (or an equivalent baseline assignment)
-  /// to have happened, and cache to be sized for every slot touched.
+  /// pass; a cell blocks when its outcome differs from the baseline's.
+  /// The cells are then interned serially in (operation, sub-mask)
+  /// order. Requires fill_baseline (or an equivalent baseline
+  /// assignment) to have happened, and cache to be sized for every slot
+  /// touched.
   void fill_slots(const apps::CaseStudy& study, std::size_t k,
                   const std::vector<std::size_t>& slots, LemmaReport& report,
                   SweepMemoStore* memo) {
@@ -222,68 +214,51 @@ struct MemoizedEngine {
     struct Cell {
       std::size_t op_slot = 0;
       std::uint64_t submask = 0;
-      bool recalled = false;  ///< served by the store
-      MemoEntry value;
     };
-    // Phase 1 (serial): deterministic lookup pass; misses are queued.
     std::vector<Cell> cells;
-    std::vector<std::size_t> misses;
     for (const std::size_t oi : slots) {
       const std::uint64_t sub_total = std::uint64_t{1}
                                       << ops[oi].positions.size();
       cache[oi].assign(static_cast<std::size_t>(sub_total), CacheEntry{});
       cache[oi][0] = baseline;
-      for (std::uint64_t s = 1; s < sub_total; ++s) {
-        Cell cell;
-        cell.op_slot = oi;
-        cell.submask = s;
-        if (memo != nullptr) {
-          bool invalidated = false;
-          if (auto e = memo->lookup({report.study_name, ops[oi].op, s},
-                                    fps[oi], &invalidated)) {
-            cell.recalled = true;
-            cell.value = std::move(*e);
-            ++report.memo_hits;
-          } else {
-            ++report.memo_misses;
-            if (invalidated) ++report.entries_invalidated;
-          }
-        }
-        if (!cell.recalled) misses.push_back(cells.size());
-        cells.push_back(std::move(cell));
-      }
+      for (std::uint64_t s = 1; s < sub_total; ++s) cells.push_back({oi, s});
     }
-    // Phase 2 (parallel): evaluate the misses; each writes its own cell.
-    runtime::parallel_for(misses.size(), [&](std::size_t begin,
-                                             std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        Cell& cell = cells[misses[i]];
-        const auto mask = mask_vector(
-            expand_submask_bits(ops[cell.op_slot], cell.submask), k);
-        cell.value.exploit = study.run_exploit(mask);
-        cell.value.benign = study.run_benign(mask);
-      }
-    });
-    // Phase 3 (serial): intern in ascending cell order, so the table and
-    // the store's recency/eviction order are identical at every thread
-    // count.
-    for (Cell& cell : cells) {
-      CacheEntry& slot =
-          cache[cell.op_slot][static_cast<std::size_t>(cell.submask)];
-      slot = intern_cell(cell.value.exploit, cell.value.benign);
-      if (cell.recalled) {
-        slot.exploit_blocks = cell.value.exploit_blocks;
-        slot.benign_blocks = cell.value.benign_blocks;
-      } else if (memo != nullptr) {
-        cell.value.op_fingerprint = fps[cell.op_slot];
-        cell.value.exploit_blocks = slot.exploit_blocks;
-        cell.value.benign_blocks = slot.benign_blocks;
-        memo->insert({report.study_name, ops[cell.op_slot].op, cell.submask},
-                     std::move(cell.value));
-      }
+    const apps::RunOutcome& base_exploit = outcome(baseline.exploit);
+    const apps::RunOutcome& base_benign = outcome(baseline.benign);
+    auto fill = runtime::memo_fill(
+        memo, cells.size(),
+        [&](std::size_t i) {
+          return MemoKey{report.study_name, ops[cells[i].op_slot].op,
+                         cells[i].submask};
+        },
+        [&](std::size_t i) { return fps[cells[i].op_slot]; },
+        [&](std::size_t i) {
+          const auto mask = mask_vector(
+              expand_submask_bits(ops[cells[i].op_slot], cells[i].submask),
+              k);
+          MemoEntry e{study.run_exploit(mask), study.run_benign(mask)};
+          e.exploit_blocks = !(e.exploit == base_exploit);
+          e.benign_blocks = !(e.benign == base_benign);
+          return e;
+        });
+    account(fill, report);
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      MemoEntry& v = fill.values[i];
+      cache[cells[i].op_slot][static_cast<std::size_t>(cells[i].submask)] =
+          CacheEntry{intern(outcomes, std::move(v.exploit)),
+                     intern(outcomes, std::move(v.benign)), v.exploit_blocks,
+                     v.benign_blocks};
     }
-    report.exploit_evaluations += misses.size();
-    report.benign_evaluations += misses.size();
+  }
+
+  /// Folds one fill's evaluations and memo counts into the report.
+  static void account(const runtime::MemoFill<MemoEntry>& fill,
+                      LemmaReport& report) {
+    report.exploit_evaluations += fill.evaluated;
+    report.benign_evaluations += fill.evaluated;
+    report.memo_hits += fill.hits;
+    report.memo_misses += fill.misses;
+    report.entries_invalidated += fill.invalidated;
   }
 
   /// Evaluates each operation at most 2^{k_op} times: sub-mask 0 aliases

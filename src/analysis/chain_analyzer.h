@@ -28,8 +28,9 @@
 //
 // On top of the memoized engine sit the cross-sweep layers (DESIGN.md
 // §11): SweepOptions::memo plugs a shared SweepMemoStore under the cache
-// fill so repeated sweeps of the same study family (sampled → exhaustive
-// escalation, fault-campaign trials, sweep_all) re-evaluate nothing, and
+// fill (runtime::memo_fill) so repeated sweeps of the same study family
+// (sampled → exhaustive escalation, fault-campaign trials, sweep_all)
+// re-evaluate nothing, and
 // resweep / sweep_summary recompose a baseline sweep under a SweepDelta
 // (changed and/or secured operations) — k patch-candidate evaluations
 // cost one sweep plus k compositions instead of k sweeps.
@@ -45,11 +46,10 @@
 #include <string>
 #include <vector>
 
+#include "analysis/sweep_memo.h"
 #include "apps/case_study.h"
 
 namespace dfsm::analysis {
-
-class SweepMemoStore;  // sweep_memo.h
 
 /// One row of the sweep, 16 bytes: bits 0..k-1 of `mask` are the check
 /// mask (bit i == check i enabled), bit 63 flags that at least one
@@ -129,9 +129,9 @@ struct SweepOptions {
   /// verdicts stay meaningful); required once k >= 26.
   std::uint64_t max_masks = 0;
   /// Optional cross-sweep memo store (memoized engine only; the direct
-  /// engine never touches it). The fill becomes three deterministic
-  /// phases — serial lookup, parallel evaluation of the misses, serial
-  /// insertion — so hit/miss/eviction accounting is byte-identical at
+  /// engine never touches it). The fill runs through runtime::memo_fill
+  /// — serial lookup, parallel evaluation of the misses, serial
+  /// insertion — so hit/miss/invalidation accounting is byte-identical at
   /// every DFSM_THREADS setting.
   SweepMemoStore* memo = nullptr;
 };
@@ -147,8 +147,7 @@ struct SweepOptions {
 /// Sweeps every registered case study, sharding the (study x mask) work
 /// over the parallel runtime; reports come back in registry order. An
 /// options.memo store is shared by all studies (their keys are disjoint,
-/// so per-study accounting stays deterministic as long as the store is
-/// unbounded — a bound makes concurrent evictions timing-dependent).
+/// so per-study accounting stays deterministic).
 [[nodiscard]] std::vector<LemmaReport> sweep_all();
 [[nodiscard]] std::vector<LemmaReport> sweep_all(const SweepOptions& options);
 

@@ -18,11 +18,10 @@
 #include <string>
 #include <vector>
 
+#include "analysis/sweep_memo.h"
 #include "apps/case_study.h"
 
 namespace dfsm::analysis {
-
-class SweepMemoStore;  // sweep_memo.h
 
 /// The defence families (one column each).
 enum class Defense {

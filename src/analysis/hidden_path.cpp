@@ -4,7 +4,6 @@
 #include <limits>
 #include <set>
 
-#include "core/fingerprint.h"
 #include "runtime/parallel.h"
 
 namespace dfsm::analysis {
@@ -50,33 +49,6 @@ std::vector<HiddenPathReport> scan_model(
         return detect_hidden_path(*jobs[i].pfsm, *jobs[i].domain,
                                   max_witnesses);
       });
-}
-
-std::size_t ScanKeyHash::operator()(const ScanKey& k) const noexcept {
-  core::Fingerprinter fp;
-  fp.mix(k.model)
-      .mix(k.model_fingerprint)
-      .mix(k.domains_digest)
-      .mix(static_cast<std::uint64_t>(k.max_witnesses));
-  return static_cast<std::size_t>(fp.digest());
-}
-
-std::vector<HiddenPathReport> scan_model(
-    const core::FsmModel& model,
-    const std::map<std::string, std::vector<core::Object>>& domains,
-    HiddenPathScanStore* memo, std::size_t max_witnesses) {
-  if (memo == nullptr) return scan_model(model, domains, max_witnesses);
-  core::Fingerprinter digest;
-  for (const auto& [name, domain] : domains) {  // std::map: sorted, stable
-    digest.mix(name).mix(static_cast<std::uint64_t>(domain.size()));
-    for (const auto& o : domain) digest.mix(o.describe());
-  }
-  const ScanKey key{model.name(), core::fingerprint(model), digest.digest(),
-                    max_witnesses};
-  if (auto cached = memo->get(key)) return *std::move(cached);
-  auto reports = scan_model(model, domains, max_witnesses);
-  memo->put(key, reports);
-  return reports;
 }
 
 std::vector<core::Object> int_boundary_domain(

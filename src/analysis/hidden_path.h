@@ -18,7 +18,6 @@
 
 #include "core/model.h"
 #include "core/pfsm.h"
-#include "runtime/shared_store.h"
 
 namespace dfsm::analysis {
 
@@ -47,41 +46,6 @@ struct HiddenPathReport {
     const core::FsmModel& model,
     const std::map<std::string, std::vector<core::Object>>& domains,
     std::size_t max_witnesses = 8);
-
-// --- memoized scans ----------------------------------------------------
-
-/// Cache key of a memoized model scan. The model's structural
-/// fingerprint (core::fingerprint) is the invalidation token — editing
-/// any pFSM's predicates, action, or the chain shape changes it — and
-/// the domain digest covers every object's rendered attributes, so two
-/// scans share an entry only when model, domains, and witness cap all
-/// agree. Like every fingerprint-keyed store, the full key is compared
-/// on lookup; hashes only bucket.
-struct ScanKey {
-  std::string model;
-  std::uint64_t model_fingerprint = 0;
-  std::uint64_t domains_digest = 0;
-  std::size_t max_witnesses = 0;
-  [[nodiscard]] bool operator==(const ScanKey&) const = default;
-};
-
-struct ScanKeyHash {
-  [[nodiscard]] std::size_t operator()(const ScanKey& k) const noexcept;
-};
-
-/// Shared store for whole-model scan results (e.g. across lint runs and
-/// fault-campaign trials touching the same standard models).
-using HiddenPathScanStore =
-    runtime::SharedLruStore<ScanKey, std::vector<HiddenPathReport>,
-                            ScanKeyHash>;
-
-/// scan_model through a shared store: a hit returns the cached reports
-/// without touching a predicate; a miss scans and inserts. Pass nullptr
-/// to always scan.
-[[nodiscard]] std::vector<HiddenPathReport> scan_model(
-    const core::FsmModel& model,
-    const std::map<std::string, std::vector<core::Object>>& domains,
-    HiddenPathScanStore* memo, std::size_t max_witnesses = 8);
 
 // --- Domain generators -------------------------------------------------
 

@@ -1,8 +1,7 @@
 // sweep_memo.h — the cross-sweep memo store (DESIGN.md §11).
 //
-// PR 5's memoized sweep engine evaluates each operation once per
-// sub-mask of its OWN checks — but it rebuilt that cache from scratch on
-// every sweep invocation. A SweepMemoStore keeps those per-(operation,
+// The memoized sweep engine evaluates each operation once per sub-mask
+// of its OWN checks. A SweepMemoStore keeps those per-(operation,
 // sub-mask) outcomes alive across sweeps of the same study family:
 // sampled → exhaustive escalation, repeated fault-campaign trials,
 // sweep_all over the curated registry, and the k-candidate patch-ranking
@@ -13,12 +12,12 @@
 //     exact equality — the 64-bit hash only buckets, so a fingerprint or
 //     hash collision across distinct operations cannot alias entries BY
 //     CONSTRUCTION (tests pin this);
-//   * every entry carries the operation's structural fingerprint
+//   * every entry is validated by the operation's structural fingerprint
 //     (core::fingerprint over its pFSM set). A lookup whose caller-side
 //     fingerprint differs finds a STALE entry: the operation's check set
-//     changed since the entry was written. The entry is dropped, counted
-//     in Stats::invalidated, and the lookup misses — so a changed pFSM
-//     set invalidates exactly that operation's entries and nothing else;
+//     changed since the entry was written. The entry is dropped and the
+//     lookup misses — so a changed pFSM set invalidates exactly that
+//     operation's entries and nothing else;
 //   * the study-family name is part of the key AND of the contract: a
 //     family name identifies the application's UNCHECKED (all-off)
 //     behaviour. Changing unchecked behaviour under a reused name is
@@ -34,7 +33,7 @@
 
 #include "apps/case_study.h"
 #include "core/fingerprint.h"
-#include "runtime/shared_store.h"
+#include "runtime/validated_memo.h"
 
 namespace dfsm::analysis {
 
@@ -63,69 +62,19 @@ struct MemoKeyHash {
 
 /// One cached outcome: the study with ONLY this operation's checks
 /// enabled per `submask`, plus whether that run diverged from the
-/// all-off baseline, validated by the operation's fingerprint.
+/// all-off baseline.
 struct MemoEntry {
-  std::uint64_t op_fingerprint = 0;
   apps::RunOutcome exploit;
   apps::RunOutcome benign;
   bool exploit_blocks = false;
   bool benign_blocks = false;
 };
 
-/// Thread-safe cross-sweep memo store: every operation is individually
-/// safe from any thread, and a stale-entry drop re-validates the
-/// fingerprint under the store lock (SharedLruStore::erase_if), so a
-/// racing lookup can never erase a fresh entry a concurrent writer just
-/// re-inserted under the same key. Hit/miss/invalidation COUNTS are only
-/// deterministic under the caller contract — concurrent users keep their
-/// keys disjoint (as sweep_all's per-family keys do) or serialize their
-/// lookup/insert phases (as the engine's three-phase fill does); see
-/// runtime::SharedLruStore and the keying contract above.
-class SweepMemoStore {
- public:
-  struct Stats {
-    std::size_t hits = 0;         ///< fresh-fingerprint lookups served
-    std::size_t misses = 0;       ///< absent entries
-    std::size_t invalidated = 0;  ///< stale entries dropped on lookup
-    std::size_t evictions = 0;    ///< entries dropped by the LRU budget
-    std::size_t size = 0;
-    std::size_t max_entries = 0;
-  };
-
-  /// @param max_entries LRU entry budget; 0 = unbounded.
-  explicit SweepMemoStore(std::size_t max_entries = 0)
-      : store_(max_entries) {}
-
-  /// Returns the entry when present AND its fingerprint matches
-  /// `op_fingerprint`. A mismatch erases the stale entry, counts an
-  /// invalidation, and reports a miss. `invalidated`, when non-null, is
-  /// set to whether THIS lookup dropped a stale entry.
-  [[nodiscard]] std::optional<MemoEntry> lookup(
-      const MemoKey& key, std::uint64_t op_fingerprint,
-      bool* invalidated = nullptr);
-
-  /// Inserts (or refreshes) an entry; `entry.op_fingerprint` must already
-  /// be set by the caller.
-  void insert(const MemoKey& key, MemoEntry entry) {
-    store_.put(key, std::move(entry));
-  }
-
-  [[nodiscard]] Stats stats() const;
-  [[nodiscard]] std::size_t size() const { return store_.size(); }
-  void clear() { store_.clear(); }
-
-  /// Keys most-recently-used first (test hook; see SharedLruStore).
-  [[nodiscard]] std::vector<MemoKey> keys_by_recency() const {
-    return store_.keys_by_recency();
-  }
-
- private:
-  runtime::SharedLruStore<MemoKey, MemoEntry, MemoKeyHash> store_;
-  mutable std::mutex counters_mu_;
-  std::size_t hits_ = 0;
-  std::size_t misses_ = 0;
-  std::size_t invalidated_ = 0;
-};
+/// Thread-safe cross-sweep memo store. Hit/miss/invalidation counts are
+/// deterministic when concurrent users keep their keys disjoint (as
+/// sweep_all's per-family keys do) or fill through runtime::memo_fill
+/// (as the engine does).
+using SweepMemoStore = runtime::ValidatedMemo<MemoKey, MemoEntry, MemoKeyHash>;
 
 }  // namespace dfsm::analysis
 

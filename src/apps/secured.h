@@ -11,9 +11,9 @@
 // The wrapper takes a DISTINCT study name (secured_study_name) on
 // purpose: a study-family name identifies unchecked baseline behaviour
 // for the cross-sweep memo store (analysis::SweepMemoStore), and the
-// secured variant's baseline differs from the base one's, so sharing the
-// name would be exactly the staleness the store's fingerprints guard
-// against. The incremental re-analysis path (analysis::resweep /
+// secured variant's baseline differs from the base one's. The baseline
+// entry is validated by no operation fingerprint, so sharing the name
+// would serve the base study's baseline to the secured one. The incremental re-analysis path (analysis::resweep /
 // sweep_summary) never re-runs a secured study at all — it composes the
 // pinned rows from the base study's caches; this wrapper exists as the
 // REFERENCE those compositions are tested against.

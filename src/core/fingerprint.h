@@ -7,8 +7,9 @@
 // same identity contract the static linter's IR snapshot uses. The
 // fingerprint of an operation (and transitively of a chain) is a pure
 // function of that structure: it changes exactly when the operation's
-// pFSM set changes, which is what the cross-sweep memo store keys its
-// invalidation on (analysis::SweepMemoStore, DESIGN.md §11).
+// pFSM set changes, which is what the cross-sweep memo store validates
+// its entries by (analysis::SweepMemoStore, a runtime::ValidatedMemo;
+// DESIGN.md §11).
 //
 // The hash is 64-bit FNV-1a over a length-delimited field stream, so
 // concatenation ambiguities ("ab"+"c" vs "a"+"bc") cannot alias. A

@@ -44,40 +44,6 @@ void fail(TrialResult& r, const std::string& why) {
   r.failure += why;
 }
 
-/// Campaign-wide incremental-lint state: one memo store shared by every
-/// lint in the run, plus the aggregate LintRun the CLI emits. The trial
-/// loop is serial, so the aggregation order (and the memo telemetry) is
-/// identical at every DFSM_THREADS setting.
-struct LintContext {
-  staticlint::LintMemoStore& memo;
-  staticlint::LintRun& agg;
-  std::size_t& models_linted;
-};
-
-/// Lints one IR model through the campaign's shared memo store, records
-/// the per-trial telemetry, and folds findings + counters into the
-/// aggregate run.
-staticlint::LintRun lint_and_record(const staticlint::LintModel& model,
-                                    LintContext& ctx, TrialResult& r) {
-  staticlint::LintOptions opts;
-  opts.memo = &ctx.memo;
-  const auto run = staticlint::lint_model_ir(model, opts);
-  r.lint_rules_executed += run.rules_executed;
-  r.lint_memo_hits += run.memo_hits;
-  r.lint_memo_misses += run.memo_misses;
-  r.lint_memo_invalidated += run.memo_invalidated;
-  ctx.agg.memoized = true;
-  ctx.agg.models_checked += run.models_checked;
-  ctx.agg.rules_run = run.rules_run;
-  ctx.agg.rules_executed += run.rules_executed;
-  ctx.agg.memo_hits += run.memo_hits;
-  ctx.agg.memo_misses += run.memo_misses;
-  ctx.agg.memo_invalidated += run.memo_invalidated;
-  for (const auto& d : run.findings) ctx.agg.findings.push_back(d);
-  ++ctx.models_linted;
-  return run;
-}
-
 TrialResult run_corpus_trial(const CampaignConfig& cfg, std::size_t t,
                              Rng& rng) {
   TrialResult r;
@@ -264,7 +230,7 @@ TrialResult run_snapshot_trial(const CampaignConfig& cfg, std::size_t t,
   return r;
 }
 
-TrialResult run_chain_trial(std::size_t t, Rng& rng, LintContext& lint_ctx) {
+TrialResult run_chain_trial(std::size_t t, Rng& rng, const ComposedDeps& deps) {
   TrialResult r;
   r.trial = t;
   r.kind = "chain";
@@ -278,7 +244,7 @@ TrialResult run_chain_trial(std::size_t t, Rng& rng, LintContext& lint_ctx) {
   // — so the static pass must stay quiet on it: any lint finding here
   // means lint_chain() flags structure it should not.
   const auto lint_run = lint_and_record(
-      staticlint::LintModel::from_chain(fx.chain), lint_ctx, r);
+      staticlint::LintModel::from_chain(fx.chain), deps, r);
   if (!lint_run.findings.empty()) {
     fail(r, "structurally clean live chain drew " +
                 std::to_string(lint_run.findings.size()) + " lint finding(s)");
@@ -379,7 +345,7 @@ TrialResult run_sweep_trial(
 /// expected rule id must fire — the same machine-checked-expectation
 /// discipline as the IR grid, on the incremental surface.
 TrialResult run_chain_lint_trial(std::size_t t, Rng& rng,
-                                 LintContext& lint_ctx) {
+                                 const ComposedDeps& deps) {
   TrialResult r;
   r.trial = t;
   r.kind = "chainlint";
@@ -393,7 +359,7 @@ TrialResult run_chain_lint_trial(std::size_t t, Rng& rng,
   r.expected_rules = fx.expected_rules;
 
   const auto run = lint_and_record(
-      staticlint::LintModel::from_chain(fx.chain), lint_ctx, r);
+      staticlint::LintModel::from_chain(fx.chain), deps, r);
   for (const auto& finding : run.findings) {
     bool seen = false;
     for (const auto& id : r.caught_rules) seen = seen || id == finding.rule_id;
@@ -413,15 +379,13 @@ TrialResult run_chain_lint_trial(std::size_t t, Rng& rng,
   return r;
 }
 
-TrialResult run_model_trial(
-    const CampaignConfig& cfg, std::size_t t, Rng& rng,
-    const std::vector<staticlint::LintModel>& curated,
-    const std::vector<std::unique_ptr<apps::CaseStudy>>& studies,
-    LintContext& lint_ctx) {
+TrialResult run_model_trial(const CampaignConfig& cfg, std::size_t t,
+                            Rng& rng, const ComposedDeps& deps) {
+  const auto& curated = *deps.curated;
   const std::size_t surface = rng.below(10);
-  if (surface < 2) return run_chain_trial(t, rng, lint_ctx);
-  if (surface < 4) return run_sweep_trial(t, rng, studies);
-  if (surface < 6) return run_chain_lint_trial(t, rng, lint_ctx);
+  if (surface < 2) return run_chain_trial(t, rng, deps);
+  if (surface < 4) return run_sweep_trial(t, rng, *deps.studies);
+  if (surface < 6) return run_chain_lint_trial(t, rng, deps);
 
   TrialResult r;
   r.trial = t;
@@ -447,7 +411,7 @@ TrialResult run_model_trial(
     // memoized grid sees a fingerprint mismatch per cell — the campaign
     // deliberately thrashes the store's invalidation path while the
     // lint verdicts stay byte-identical to a direct lint.
-    const auto run = lint_and_record(copy, lint_ctx, r);
+    const auto run = lint_and_record(copy, deps, r);
     for (const auto& finding : run.findings) {
       bool seen = false;
       for (const auto& id : r.caught_rules) seen = seen || id == finding.rule_id;
@@ -655,7 +619,6 @@ CampaignReport run_campaign(const CampaignConfig& config) {
   // mutated curated model invalidates its own cells, and the aggregate
   // telemetry lands in report.lint.
   staticlint::LintMemoStore memo;
-  LintContext lint_ctx{memo, report.lint, report.models_linted};
   ComposedDeps composed_deps;
   composed_deps.curated = &curated;
   composed_deps.studies = &studies;
@@ -695,7 +658,7 @@ CampaignReport run_campaign(const CampaignConfig& config) {
         break;
       case CampaignKind::kModel:
       case CampaignKind::kAll:
-        r = run_model_trial(config, t, rng, curated, studies, lint_ctx);
+        r = run_model_trial(config, t, rng, composed_deps);
         ++report.model_trials;
         break;
     }

@@ -29,6 +29,30 @@
 
 namespace dfsm::faultinject {
 
+staticlint::LintRun lint_and_record(const staticlint::LintModel& model,
+                                    const ComposedDeps& deps, TrialResult& r) {
+  staticlint::LintOptions opts;
+  opts.memo = deps.memo;
+  const auto run = staticlint::lint_model_ir(model, opts);
+  r.lint_rules_executed += run.rules_executed;
+  r.lint_memo_hits += run.memo_hits;
+  r.lint_memo_misses += run.memo_misses;
+  r.lint_memo_invalidated += run.memo_invalidated;
+  if (deps.lint_agg != nullptr) {
+    auto& agg = *deps.lint_agg;
+    agg.memoized = true;
+    agg.models_checked += run.models_checked;
+    agg.rules_run = run.rules_run;
+    agg.rules_executed += run.rules_executed;
+    agg.memo_hits += run.memo_hits;
+    agg.memo_misses += run.memo_misses;
+    agg.memo_invalidated += run.memo_invalidated;
+    for (const auto& d : run.findings) agg.findings.push_back(d);
+  }
+  if (deps.models_linted != nullptr) ++*deps.models_linted;
+  return run;
+}
+
 namespace {
 
 std::string strip_workdir(std::string text, const std::string& workdir) {
@@ -51,34 +75,6 @@ void expect_rule(TrialResult& r, const std::string& id) {
 
 void catch_rule(TrialResult& r, const std::string& id) {
   r.caught_rules.push_back(id);
-}
-
-/// Lints one IR model, routing through the campaign-wide memo store and
-/// aggregate when the deps carry them (the composed-surface equivalent
-/// of campaign.cpp's lint_and_record).
-staticlint::LintRun lint_through_deps(const staticlint::LintModel& model,
-                                      const ComposedDeps& deps,
-                                      TrialResult& r) {
-  staticlint::LintOptions opts;
-  if (deps.memo != nullptr) opts.memo = deps.memo;
-  const auto run = staticlint::lint_model_ir(model, opts);
-  r.lint_rules_executed += run.rules_executed;
-  r.lint_memo_hits += run.memo_hits;
-  r.lint_memo_misses += run.memo_misses;
-  r.lint_memo_invalidated += run.memo_invalidated;
-  if (deps.lint_agg != nullptr) {
-    auto& agg = *deps.lint_agg;
-    agg.memoized = true;
-    agg.models_checked += run.models_checked;
-    agg.rules_run = run.rules_run;
-    agg.rules_executed += run.rules_executed;
-    agg.memo_hits += run.memo_hits;
-    agg.memo_misses += run.memo_misses;
-    agg.memo_invalidated += run.memo_invalidated;
-    for (const auto& d : run.findings) agg.findings.push_back(d);
-  }
-  if (deps.models_linted != nullptr) ++*deps.models_linted;
-  return run;
 }
 
 /// Clones `chain` with the spec predicate of (op_index, pfsm_index)
@@ -395,7 +391,7 @@ void run_model_ir_component(Rng& rng, const ComposedDeps& deps,
     r.detail += std::string("model-ir ") + to_string(fault) + " @ " +
                 mut->model + (mut->target.empty() ? "" : "/" + mut->target);
     for (const auto& id : mut->expected_rules) expect_rule(r, id);
-    const auto run = lint_through_deps(copy, deps, r);
+    const auto run = lint_and_record(copy, deps, r);
     bool hit = false;
     mark_caught_expected(run, mut->expected_rules, r, hit);
     if (!hit) {
@@ -416,7 +412,7 @@ void run_chain_lint_component(Rng& rng, const ComposedDeps& deps,
   r.detail += std::string("chain-lint ") + to_string(fault) + " @ " +
               fx.chain.name() + (fx.target.empty() ? "" : "/" + fx.target);
   for (const auto& id : fx.expected_rules) expect_rule(r, id);
-  const auto run = lint_through_deps(
+  const auto run = lint_and_record(
       staticlint::LintModel::from_chain(fx.chain), deps, r);
   bool hit = false;
   mark_caught_expected(run, fx.expected_rules, r, hit);

@@ -89,10 +89,10 @@ inline constexpr std::array<ComposedMutator, 15> kAllComposedMutators = {
 /// std::invalid_argument for non-corpus mutators.
 [[nodiscard]] CorpusFault corpus_fault_of(ComposedMutator m);
 
-/// Shared campaign state a composed trial runs against. `curated` and
-/// `studies` are required; the lint members are optional (when set, the
-/// trial's lints flow through the campaign-wide memo store and aggregate
-/// exactly like the single-mutator surfaces).
+/// Shared campaign state the model and composed trials run against.
+/// `curated` and `studies` are required; the lint members are optional
+/// (when set, every trial lint flows through the campaign-wide memo
+/// store and aggregate).
 struct ComposedDeps {
   const std::vector<staticlint::LintModel>* curated = nullptr;
   const std::vector<std::unique_ptr<apps::CaseStudy>>* studies = nullptr;
@@ -100,6 +100,14 @@ struct ComposedDeps {
   staticlint::LintRun* lint_agg = nullptr;
   std::size_t* models_linted = nullptr;
 };
+
+/// Lints one IR model through deps.memo, adds the run's telemetry to the
+/// trial, and folds its findings and counters into deps.lint_agg and
+/// deps.models_linted (each only when set). Every campaign lint goes
+/// through here.
+[[nodiscard]] staticlint::LintRun lint_and_record(
+    const staticlint::LintModel& model, const ComposedDeps& deps,
+    TrialResult& r);
 
 /// Draws 2–4 DISTINCT mutators from the pool (fuzz-style; pure in rng).
 [[nodiscard]] std::vector<ComposedMutator> draw_composition(Rng& rng);

@@ -131,17 +131,20 @@ CorpusMutation corrupt_field(ShardSet& shards, Rng& rng) {
 CorpusMutation missing_header(ShardSet& shards, Rng& rng) {
   const std::size_t s = rng.below(shards.paths.size());
   auto lines = split_lines(shards.contents[s]);
-  // A shard whose header is already gone has no line above its rows;
-  // erasing line 0 then would delete a generated row.
-  if (first_data_line(lines, shards.data_rows[s]) > 0) {
-    lines.erase(lines.begin());
-  }
+  // Delete every line above the rows, not just line 0: after a
+  // duplicate-header fault the second header copy would otherwise
+  // become a valid header. Lines beyond the header were injected data-
+  // line candidates, so their count is given back.
+  const std::size_t above = first_data_line(lines, shards.data_rows[s]);
+  lines.erase(lines.begin(),
+              lines.begin() + static_cast<std::ptrdiff_t>(above));
   shards.contents[s] = join_lines(lines);
   CorpusMutation m;
   m.fault = CorpusFault::kMissingHeader;
   m.shard = shards.paths[s];
   m.line = 1;
   m.detail = "deleted the header line";
+  m.injected_lines = above > 1 ? -static_cast<long long>(above - 1) : 0;
   m.expect_strict_throw = true;
   return m;
 }

@@ -67,6 +67,7 @@ struct CorpusMutation {
   std::string detail;   ///< human-readable description
 
   long long injected_lines = 0;          ///< data-line candidates added
+                                         ///< (negative: removed)
   std::vector<std::string> lost_shards;  ///< shards whose rows never reach ingest
   std::size_t fail_attempts = 0;         ///< simulated unreadable attempts
   bool expect_strict_throw = false;      ///< strict ingest must throw

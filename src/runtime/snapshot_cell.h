@@ -1,6 +1,6 @@
 // snapshot_cell.h — a read-mostly publication point for immutable,
 // versioned state (the RCU/epoch half of the concurrent-store toolkit;
-// SharedLruStore is the mutable, mutex-guarded half).
+// ValidatedMemo is the mutable, mutex-guarded half).
 //
 // One writer (or several, externally serialized) builds the next version
 // of some state off to the side, then publishes it with a single atomic

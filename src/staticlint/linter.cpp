@@ -1,10 +1,9 @@
 #include "staticlint/linter.h"
 
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
-#include "runtime/parallel.h"
+#include "runtime/validated_memo.h"
 
 namespace dfsm::staticlint {
 
@@ -50,78 +49,35 @@ LintRun lint(const std::vector<LintModel>& models, const LintOptions& options,
   LintRun run;
   run.models_checked = models.size();
   run.rules_run = selected.size();
-
-  const std::size_t cells = models.size() * selected.size();
-
-  if (options.memo == nullptr) {
-    // One grid cell per (model, rule) pair, model-major. Each cell is
-    // independent, so the whole grid fans out; flattening in index order
-    // reproduces the serial nested walk byte-for-byte.
-    auto per_cell = runtime::parallel_map<std::vector<Diagnostic>>(
-        cells,
-        [&](std::size_t i) {
-          const LintModel& m = models[i / selected.size()];
-          const Rule& r = *selected[i % selected.size()];
-          return run_cell(m, r);
-        },
-        pool);
-    run.rules_executed = cells;
-    for (auto& cell : per_cell) {
-      for (auto& d : cell) run.findings.push_back(std::move(d));
-    }
-    return run;
-  }
-
-  // Incremental mode: the same grid filled through the memo store in
-  // three phases, mirroring the sweep engine (DESIGN.md §11). Phase 1
-  // looks every cell up SERIALLY, so hit/miss/invalidation counts see
-  // one well-defined operation order at every DFSM_THREADS setting.
-  run.memoized = true;
-  LintMemoStore& memo = *options.memo;
+  run.memoized = options.memo != nullptr;
 
   std::vector<std::uint64_t> fps;
-  fps.reserve(models.size());
-  for (const auto& m : models) fps.push_back(fingerprint(m));
-
-  std::vector<std::optional<std::vector<Diagnostic>>> cached(cells);
-  std::vector<std::size_t> missed;
-  for (std::size_t i = 0; i < cells; ++i) {
-    const std::size_t mi = i / selected.size();
-    const LintMemoKey key{models[mi].name, selected[i % selected.size()]->info.id};
-    bool invalidated = false;
-    if (auto entry = memo.lookup(key, fps[mi], &invalidated)) {
-      cached[i] = std::move(entry->findings);
-      ++run.memo_hits;
-    } else {
-      missed.push_back(i);
-      ++run.memo_misses;
-      if (invalidated) ++run.memo_invalidated;
-    }
+  if (options.memo != nullptr) {
+    fps.reserve(models.size());
+    for (const auto& m : models) fps.push_back(fingerprint(m));
   }
-
-  // Phase 2: execute only the missed cells, in parallel.
-  auto fresh = runtime::parallel_map<std::vector<Diagnostic>>(
-      missed.size(),
-      [&](std::size_t j) {
-        const std::size_t i = missed[j];
-        const LintModel& m = models[i / selected.size()];
-        const Rule& r = *selected[i % selected.size()];
-        return run_cell(m, r);
+  // One grid cell per (model, rule) pair, model-major, filled through
+  // the memo when there is one (DESIGN.md §13). Flattening the cells in
+  // index order reproduces the serial nested walk byte-for-byte.
+  const std::size_t nrules = selected.size();
+  auto fill = runtime::memo_fill(
+      options.memo, models.size() * nrules,
+      [&](std::size_t i) {
+        return LintMemoKey{models[i / nrules].name,
+                           selected[i % nrules]->info.id};
+      },
+      [&](std::size_t i) { return fps[i / nrules]; },
+      [&](std::size_t i) {
+        return LintMemoEntry{
+            run_cell(models[i / nrules], *selected[i % nrules])};
       },
       pool);
-  run.rules_executed = missed.size();
-
-  // Phase 3: insert the fresh cells serially, then flatten the grid in
-  // index order — byte-identical to the memo-less walk.
-  for (std::size_t j = 0; j < missed.size(); ++j) {
-    const std::size_t i = missed[j];
-    const std::size_t mi = i / selected.size();
-    const LintMemoKey key{models[mi].name, selected[i % selected.size()]->info.id};
-    memo.insert(key, LintMemoEntry{fps[mi], fresh[j]});
-    cached[i] = std::move(fresh[j]);
-  }
-  for (auto& cell : cached) {
-    for (auto& d : *cell) run.findings.push_back(std::move(d));
+  run.rules_executed = fill.evaluated;
+  run.memo_hits = fill.hits;
+  run.memo_misses = fill.misses;
+  run.memo_invalidated = fill.invalidated;
+  for (auto& cell : fill.values) {
+    for (auto& d : cell.findings) run.findings.push_back(std::move(d));
   }
   return run;
 }

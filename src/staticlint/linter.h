@@ -9,11 +9,12 @@
 // the serial walk exactly.
 //
 // Incremental mode (DESIGN.md §13): hand LintOptions a LintMemoStore
-// and the grid fills through it — serial lookup phase, parallel
-// execution of the MISSED cells only, serial insert phase. Findings are
-// byte-identical with and without the store (cells re-enter the output
-// at their grid position), only LintRun's telemetry distinguishes the
-// two; re-linting an unchanged model executes zero rules.
+// and the grid fills through it with runtime::memo_fill — serial lookup,
+// parallel execution of the MISSED cells only, serial insert. Findings
+// are byte-identical with and without the store (cells re-enter the
+// output at their grid position), only LintRun's telemetry
+// distinguishes the two; re-linting an unchanged model executes zero
+// rules.
 #ifndef DFSM_STATICLINT_LINTER_H
 #define DFSM_STATICLINT_LINTER_H
 

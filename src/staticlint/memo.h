@@ -12,13 +12,12 @@
 //   * the FULL key is (model name, rule id), compared by exact equality;
 //     the 64-bit hash only buckets, so a hash collision cannot alias
 //     entries by construction;
-//   * every entry carries the model's structural fingerprint
+//   * every cell is validated by the model's structural fingerprint
 //     (staticlint::fingerprint over EVERY IR field a rule can read). A
-//     lookup whose caller-side fingerprint differs finds a STALE entry:
-//     the model changed since the entry was written. The entry is
-//     dropped atomically (SharedLruStore::erase_if), counted in
-//     Stats::invalidated, and the lookup misses — so editing one model
-//     invalidates exactly that model's cells and nothing else;
+//     lookup whose caller-side fingerprint differs finds a STALE cell:
+//     the model changed since the cell was written. The cell is dropped
+//     and the lookup misses — so editing one model invalidates exactly
+//     that model's cells and nothing else;
 //   * rules are pure functions of the IR (rules.h contract), so a cell
 //     keyed by (name, rule) and validated by the full-IR fingerprint can
 //     never serve findings the current model would not produce. Reusing
@@ -29,14 +28,11 @@
 #define DFSM_STATICLINT_MEMO_H
 
 #include <cstddef>
-#include <cstdint>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/fingerprint.h"
-#include "runtime/shared_store.h"
+#include "runtime/validated_memo.h"
 #include "staticlint/diagnostic.h"
 
 namespace dfsm::staticlint {
@@ -57,63 +53,15 @@ struct LintMemoKeyHash {
   }
 };
 
-/// One cached cell: the rule's findings on the model, validated by the
-/// model's full-IR fingerprint.
+/// One cached cell: the rule's findings on the model.
 struct LintMemoEntry {
-  std::uint64_t model_fingerprint = 0;
   std::vector<Diagnostic> findings;
 };
 
-/// Thread-safe cross-lint memo store. Individually thread-safe
-/// operations; deterministic hit/miss/invalidation COUNTS are a caller
-/// contract — the linter's three-phase fill (serial lookup, parallel
-/// rule execution, serial insert) is the canonical user, mirroring the
-/// sweep engine (DESIGN.md §11).
-class LintMemoStore {
- public:
-  struct Stats {
-    std::size_t hits = 0;         ///< fresh-fingerprint lookups served
-    std::size_t misses = 0;       ///< absent entries
-    std::size_t invalidated = 0;  ///< stale entries dropped on lookup
-    std::size_t evictions = 0;    ///< entries dropped by the LRU budget
-    std::size_t size = 0;
-    std::size_t max_entries = 0;
-  };
-
-  /// @param max_entries LRU entry budget; 0 = unbounded.
-  explicit LintMemoStore(std::size_t max_entries = 0)
-      : store_(max_entries) {}
-
-  /// Returns the cell when present AND its fingerprint matches
-  /// `model_fingerprint`. A mismatch erases the stale cell atomically,
-  /// counts an invalidation, and reports a miss. `invalidated`, when
-  /// non-null, is set to whether THIS lookup dropped a stale cell.
-  [[nodiscard]] std::optional<LintMemoEntry> lookup(
-      const LintMemoKey& key, std::uint64_t model_fingerprint,
-      bool* invalidated = nullptr);
-
-  /// Inserts (or refreshes) a cell; `entry.model_fingerprint` must
-  /// already be set by the caller.
-  void insert(const LintMemoKey& key, LintMemoEntry entry) {
-    store_.put(key, std::move(entry));
-  }
-
-  [[nodiscard]] Stats stats() const;
-  [[nodiscard]] std::size_t size() const { return store_.size(); }
-  void clear();
-
-  /// Keys most-recently-used first (test hook; see SharedLruStore).
-  [[nodiscard]] std::vector<LintMemoKey> keys_by_recency() const {
-    return store_.keys_by_recency();
-  }
-
- private:
-  runtime::SharedLruStore<LintMemoKey, LintMemoEntry, LintMemoKeyHash> store_;
-  mutable std::mutex counters_mu_;
-  std::size_t hits_ = 0;
-  std::size_t misses_ = 0;
-  std::size_t invalidated_ = 0;
-};
+/// Thread-safe cross-lint memo store; lint() fills through
+/// runtime::memo_fill, so its counts are deterministic.
+using LintMemoStore =
+    runtime::ValidatedMemo<LintMemoKey, LintMemoEntry, LintMemoKeyHash>;
 
 }  // namespace dfsm::staticlint
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/chain_analyzer.h"
 #include "analysis/sweep_memo.h"
 #include "apps/case_study.h"
 #include "apps/models.h"
@@ -182,15 +183,22 @@ TEST(CompoundPatch, SharedStoreMakesRepeatScoringFree) {
   SweepMemoStore store;
   const auto first = score_compound_patch(test_network(), standard_rules(),
                                           {start()}, goal, targets, &store);
-  const auto warm = store.stats();
-  EXPECT_GT(warm.misses, 0u);
+  const std::size_t filled = store.size();
+  EXPECT_GT(filled, 0u);
 
   const auto second = score_compound_patch(test_network(), standard_rules(),
                                            {start()}, goal, targets, &store);
-  const auto hot = store.stats();
-  // The second what-if re-evaluates nothing: every cell is served.
-  EXPECT_EQ(hot.misses, warm.misses);
-  EXPECT_GT(hot.hits, warm.hits);
+  // The second what-if adds nothing, and the same composition through
+  // the store re-evaluates nothing: every cell is served.
+  EXPECT_EQ(store.size(), filled);
+  SweepOptions opts;
+  opts.memo = &store;
+  SweepDelta delta;
+  delta.secured_operations = {op};
+  const SweepSummary again = sweep_summary(ghttpd, delta, opts);
+  EXPECT_EQ(again.exploit_evaluations, 0u);
+  EXPECT_EQ(again.memo_misses, 0u);
+  EXPECT_EQ(again.memo_hits, filled);
   ASSERT_EQ(second.rules.size(), first.rules.size());
   EXPECT_EQ(second.rules[0].forecloses, first.rules[0].forecloses);
   EXPECT_EQ(second.rules[0].residual_exploited_masks,

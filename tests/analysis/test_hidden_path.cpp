@@ -104,62 +104,5 @@ TEST(HiddenPath, ReferenceConsistencyPfsmsWitnessOnBoolDomain) {
   EXPECT_EQ(reports[0].witnesses.size(), 1u);
 }
 
-// --- memoized scans ----------------------------------------------------
-
-void expect_same_reports(const std::vector<HiddenPathReport>& a,
-                         const std::vector<HiddenPathReport>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].pfsm_name, b[i].pfsm_name);
-    EXPECT_EQ(a[i].domain_size, b[i].domain_size);
-    EXPECT_EQ(a[i].spec_rejects, b[i].spec_rejects);
-    ASSERT_EQ(a[i].witnesses.size(), b[i].witnesses.size());
-    for (std::size_t w = 0; w < a[i].witnesses.size(); ++w) {
-      EXPECT_EQ(a[i].witnesses[w].describe(), b[i].witnesses[w].describe());
-    }
-  }
-}
-
-TEST(HiddenPathMemo, SecondScanIsServedFromTheStore) {
-  const auto model = apps::standard_models()[0];
-  std::map<std::string, std::vector<Object>> domains;
-  domains["pFSM2"] = int_boundary_domain("x", "x", {-8448, 0, 100});
-  HiddenPathScanStore store;
-  const auto first = scan_model(model, domains, &store);
-  const auto second = scan_model(model, domains, &store);
-  EXPECT_EQ(store.size(), 1u);
-  EXPECT_EQ(store.stats().misses, 1u);
-  EXPECT_EQ(store.stats().hits, 1u);
-  expect_same_reports(first, second);
-  // And the memoized result is the plain scan's result.
-  expect_same_reports(first, scan_model(model, domains));
-}
-
-TEST(HiddenPathMemo, KeyCoversModelDomainsAndWitnessCap) {
-  const auto models = apps::standard_models();
-  std::map<std::string, std::vector<Object>> domains;
-  domains["pFSM2"] = int_boundary_domain("x", "x", {-8448, 0, 100});
-  HiddenPathScanStore store;
-  (void)scan_model(models[0], domains, &store);
-  // A different model fingerprint is a different entry...
-  (void)scan_model(models[1], domains, &store);
-  EXPECT_EQ(store.size(), 2u);
-  // ...as are a different witness cap and a different domain set.
-  (void)scan_model(models[0], domains, &store, /*max_witnesses=*/2);
-  EXPECT_EQ(store.size(), 3u);
-  domains["pFSM2"].push_back(Object{"x"}.with("x", std::int64_t{7}));
-  (void)scan_model(models[0], domains, &store);
-  EXPECT_EQ(store.size(), 4u);
-  EXPECT_EQ(store.stats().hits, 0u);  // four distinct keys, four misses
-}
-
-TEST(HiddenPathMemo, NullStoreAlwaysScans) {
-  const auto model = apps::standard_models()[0];
-  std::map<std::string, std::vector<Object>> domains;
-  domains["pFSM2"] = int_boundary_domain("x", "x", {-8448, 0, 100});
-  expect_same_reports(scan_model(model, domains, nullptr),
-                      scan_model(model, domains));
-}
-
 }  // namespace
 }  // namespace dfsm::analysis

@@ -226,9 +226,8 @@ TEST(SharedSweepStore, StaleFingerprintEntryIsInvalidatedAndRefilled) {
   // fingerprint, as if it had been written by an older pFSM set.
   const std::size_t op = study->checks()[0].operation_index;
   MemoEntry stale;
-  stale.op_fingerprint = 0xdeadbeef;
   stale.exploit.exploited = true;
-  store.insert({study->name(), op, 1}, stale);
+  store.insert({study->name(), op, 1}, 0xdeadbeef, stale);
 
   const LemmaReport second = sweep(*study, opts);
   EXPECT_EQ(second.entries_invalidated, 1u);
@@ -254,10 +253,8 @@ TEST(SharedSweepStore, ChangedPlusSecuredDeltaKeysItsCellsUnderTheBaseFamily) {
   delta.secured_operations = {0};
   const LemmaReport re = resweep(*study, baseline, delta, opts);
 
-  EXPECT_GT(store.size(), 0u);
-  for (const auto& key : store.keys_by_recency()) {
-    EXPECT_EQ(key.study, study->name());
-  }
+  const std::size_t written = store.size();
+  EXPECT_GT(written, 0u);
 
   const auto secured = apps::make_secured_study(*study, {0});
   EXPECT_EQ(re.study_name, secured->name());
@@ -267,12 +264,16 @@ TEST(SharedSweepStore, ChangedPlusSecuredDeltaKeysItsCellsUnderTheBaseFamily) {
   // scratch (zero cross-family hits) and still matches the direct engine.
   const LemmaReport secured_memo = sweep(*secured, opts);
   EXPECT_EQ(secured_memo.memo_hits, 0u);
+  EXPECT_EQ(secured_memo.entries_invalidated, 0u);
   EXPECT_TRUE(
       reports_equivalent(secured_memo, sweep(*secured, direct_options())));
 
-  // And the base family's cells round-trip: a memoized base sweep is
-  // served entirely from what the resweep stored.
+  // And the base family's cells round-trip: a memoized base sweep finds
+  // every entry the resweep stored, so each was keyed under the base
+  // family.
   const LemmaReport base_memo = sweep(*study, opts);
+  EXPECT_EQ(base_memo.memo_hits, written);
+  EXPECT_EQ(base_memo.entries_invalidated, 0u);
   EXPECT_TRUE(reports_equivalent(base_memo, baseline));
 }
 

@@ -1,20 +1,16 @@
-// SweepMemoStore: keying, fingerprint invalidation, bounds/eviction, and
-// the collision-cannot-alias contract.
+// SweepMemoStore: keying and fingerprint invalidation of the sweep's
+// cells (the generic memo's own contract is in test_validated_memo.cpp).
 #include "analysis/sweep_memo.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
-#include <vector>
-
-#include "runtime/shared_store.h"
 
 namespace dfsm::analysis {
 namespace {
 
-MemoEntry entry_with(std::uint64_t fp, bool exploited) {
+MemoEntry entry_with(bool exploited) {
   MemoEntry e;
-  e.op_fingerprint = fp;
   e.exploit.exploited = exploited;
   e.exploit.detail = exploited ? "Mcode ran" : "foiled";
   e.benign.service_ok = true;
@@ -26,40 +22,17 @@ TEST(SweepMemo, LookupMissesThenHitsAfterInsert) {
   SweepMemoStore store;
   const MemoKey key{"study-a", 0, 3};
   EXPECT_FALSE(store.lookup(key, 42).has_value());
-  store.insert(key, entry_with(42, /*exploited=*/false));
+  store.insert(key, 42, entry_with(/*exploited=*/false));
   const auto hit = store.lookup(key, 42);
   ASSERT_TRUE(hit.has_value());
   EXPECT_FALSE(hit->exploit.exploited);
   EXPECT_TRUE(hit->exploit_blocks);
-  const auto stats = store.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.invalidated, 0u);
-}
-
-TEST(SweepMemo, FingerprintMismatchInvalidatesExactlyThatEntry) {
-  SweepMemoStore store;
-  store.insert({"study-a", 0, 1}, entry_with(100, false));
-  store.insert({"study-a", 1, 1}, entry_with(200, true));
-
-  // Operation 0's pFSM set "changed": its fingerprint is now 101.
-  bool invalidated = false;
-  EXPECT_FALSE(store.lookup({"study-a", 0, 1}, 101, &invalidated).has_value());
-  EXPECT_TRUE(invalidated);
-  EXPECT_EQ(store.size(), 1u);  // the stale entry is gone
-
-  // The neighbour operation's entry is untouched.
-  EXPECT_TRUE(store.lookup({"study-a", 1, 1}, 200).has_value());
-
-  const auto stats = store.stats();
-  EXPECT_EQ(stats.invalidated, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(store.size(), 1u);
 }
 
 TEST(SweepMemo, InvalidatedLookupDoesNotResurrect) {
   SweepMemoStore store;
-  store.insert({"s", 2, 5}, entry_with(7, true));
+  store.insert({"s", 2, 5}, 7, entry_with(true));
   EXPECT_FALSE(store.lookup({"s", 2, 5}, 8).has_value());  // invalidates
   // Even the ORIGINAL fingerprint now misses: the entry was dropped, not
   // hidden.
@@ -70,57 +43,20 @@ TEST(SweepMemo, InvalidatedLookupDoesNotResurrect) {
 
 TEST(SweepMemo, KeysDifferingInAnyFieldAreDistinctEntries) {
   SweepMemoStore store;
-  store.insert({"s", 0, 1}, entry_with(1, false));
-  store.insert({"s", 0, 2}, entry_with(1, true));
-  store.insert({"s", 1, 1}, entry_with(1, true));
-  store.insert({"t", 0, 1}, entry_with(1, true));
-  store.insert({"s", kBaselineOperation, 0}, entry_with(0, true));
+  store.insert({"s", 0, 1}, 1, entry_with(false));
+  store.insert({"s", 0, 2}, 1, entry_with(true));
+  store.insert({"s", 1, 1}, 1, entry_with(true));
+  store.insert({"t", 0, 1}, 1, entry_with(true));
+  store.insert({"s", kBaselineOperation, 0}, 0, entry_with(true));
   EXPECT_EQ(store.size(), 5u);
   const auto e = store.lookup({"s", 0, 1}, 1);
   ASSERT_TRUE(e.has_value());
   EXPECT_FALSE(e->exploit.exploited);  // not aliased by any neighbour
 }
 
-TEST(SweepMemo, HashCollisionsCannotAliasEntriesByConstruction) {
-  // The store compares FULL keys; the hash only buckets. Force every key
-  // into one bucket with a degenerate hash and verify entries stay
-  // distinct — the property that makes a fingerprint/hash collision
-  // across operations harmless by construction.
-  struct CollidingHash {
-    std::size_t operator()(const MemoKey&) const noexcept { return 17; }
-  };
-  runtime::SharedLruStore<MemoKey, int, CollidingHash> store;
-  store.put({"s", 0, 1}, 10);
-  store.put({"s", 0, 2}, 20);
-  store.put({"t", 0, 1}, 30);
-  EXPECT_EQ(store.size(), 3u);
-  EXPECT_EQ(*store.get({"s", 0, 1}), 10);
-  EXPECT_EQ(*store.get({"s", 0, 2}), 20);
-  EXPECT_EQ(*store.get({"t", 0, 1}), 30);
-}
-
-TEST(SweepMemo, EntryBudgetEvictsDeterministically) {
-  SweepMemoStore store{2};
-  store.insert({"s", 0, 1}, entry_with(1, false));
-  store.insert({"s", 0, 2}, entry_with(1, false));
-  store.insert({"s", 0, 3}, entry_with(1, false));  // evicts (s,0,1)
-  EXPECT_EQ(store.size(), 2u);
-  EXPECT_EQ(store.stats().evictions, 1u);
-  EXPECT_EQ(store.stats().max_entries, 2u);
-  EXPECT_FALSE(store.lookup({"s", 0, 1}, 1).has_value());
-  EXPECT_TRUE(store.lookup({"s", 0, 2}, 1).has_value());
-
-  // Recency order is the eviction order read backwards and is a pure
-  // function of the operation sequence.
-  const auto keys = store.keys_by_recency();
-  ASSERT_EQ(keys.size(), 2u);
-  EXPECT_EQ(keys[0], (MemoKey{"s", 0, 2}));  // refreshed by the lookup
-  EXPECT_EQ(keys[1], (MemoKey{"s", 0, 3}));
-}
-
 TEST(SweepMemo, ClearEmptiesTheStore) {
   SweepMemoStore store;
-  store.insert({"s", 0, 1}, entry_with(1, false));
+  store.insert({"s", 0, 1}, 1, entry_with(false));
   store.clear();
   EXPECT_EQ(store.size(), 0u);
   EXPECT_FALSE(store.lookup({"s", 0, 1}, 1).has_value());

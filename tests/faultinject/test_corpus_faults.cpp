@@ -3,6 +3,7 @@
 // are deterministic in the rng, and the zero-silent-loss accounting
 // holds through a lenient in-memory ingest.
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -134,6 +135,34 @@ TEST(CorpusFaults, MissingHeaderQuarantinesTheWholeShard) {
   EXPECT_EQ(report.shards[0].shard, mut.shard);
   EXPECT_EQ(report.shards[0].reason, "bad CSV header");
   EXPECT_EQ(db.size() + report.shards[0].lines_seen, 50u);
+}
+
+TEST(CorpusFaults, DuplicateThenMissingHeaderStillBreaksStrictIngest) {
+  // Deleting only line 0 after a duplicated header would promote the
+  // duplicate to a valid header and let strict ingest accept every row.
+  ShardSet set = make_set(10, 1, 13);
+  Rng rng{8, 0};
+  const auto dup = apply_corpus_fault(CorpusFault::kDuplicateHeader, set, rng);
+  const auto miss = apply_corpus_fault(CorpusFault::kMissingHeader, set, rng);
+  ASSERT_TRUE(dup.expect_strict_throw && miss.expect_strict_throw);
+  try {
+    const auto db = Database::from_csv_parts(set.contents, set.paths,
+                                             IngestPolicy::kStrict);
+    ADD_FAILURE() << "strict accepted " << db.size() << " rows";
+  } catch (const std::invalid_argument&) {
+  }
+  // The conservation identity still holds: the duplicate line the
+  // second fault deleted is given back through injected_lines.
+  IngestReport report;
+  const auto db = Database::from_csv_parts(set.contents, set.paths,
+                                           IngestPolicy::kLenient, &report);
+  long long accounted = static_cast<long long>(db.size()) +
+                        static_cast<long long>(report.quarantined_lines());
+  for (const auto& shard : report.shards) {
+    accounted += static_cast<long long>(shard.lines_seen);
+  }
+  EXPECT_EQ(10 + dup.injected_lines + miss.injected_lines, accounted);
+  EXPECT_EQ(db.size(), 0u);
 }
 
 TEST(CorpusFaults, DropShardRemovesExactlyOneShard) {
