@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -100,6 +102,54 @@ void merge_histograms(CorpusHistograms& acc, const CorpusHistograms& delta) {
   }
   for (std::size_t k = 0; k < delta.by_software.size(); ++k)
     acc.by_software[k] += delta.by_software[k];
+}
+
+std::string duplicate_id_reason(int id) {
+  return "duplicate Bugtraq ID: " + std::to_string(id);
+}
+
+/// The (id, position) pairs of every non-zero id in `recs`, sorted. The
+/// sort is skipped when the gather is already in order, as it is for
+/// corpora written in id order (generated ones and their shards).
+detail::IdIndex sorted_id_index(std::span<const VulnRecord> recs) {
+  detail::IdIndex index;
+  index.reserve(recs.size());
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    if (recs[i].id != 0) index.emplace_back(recs[i].id, i);
+  }
+  if (!std::is_sorted(index.begin(), index.end())) {
+    std::sort(index.begin(), index.end());
+  }
+  return index;
+}
+
+/// Positions of every repeated id in a sorted id index — each id's
+/// occurrences after its first — in ascending position order.
+std::vector<std::size_t> duplicate_positions(const detail::IdIndex& index) {
+  std::vector<std::size_t> dups;
+  for (std::size_t k = 1; k < index.size(); ++k) {
+    if (index[k].first == index[k - 1].first) dups.push_back(index[k].second);
+  }
+  std::sort(dups.begin(), dups.end());
+  return dups;
+}
+
+/// Removes the rows at `positions` (ascending) from `rows`, keeping the
+/// order of the rest.
+void erase_positions(std::vector<VulnRecord>& rows,
+                     const std::vector<std::size_t>& positions) {
+  if (positions.empty()) return;
+  std::size_t out = 0;
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (next < positions.size() && positions[next] == i) {
+      ++next;
+      continue;
+    }
+    if (out != i) rows[out] = std::move(rows[i]);
+    ++out;
+  }
+  rows.erase(rows.begin() + static_cast<std::ptrdiff_t>(out), rows.end());
 }
 
 std::string csv_quote(const std::string& s) {
@@ -362,23 +412,25 @@ Database parse_csv_docs(const std::vector<const std::string*>& docs,
     runtime::parallel_for(rows.size(), parse_rows);
   }
 
-  Database db;
-  std::vector<VulnRecord> batch;
-  batch.reserve(rows.size());
-  std::vector<std::size_t> origin;  // batch position -> global row index
-  origin.reserve(rows.size());
+  // The parsed vector itself becomes the batch: failed slots (none
+  // under kStrict, which has thrown) are squeezed out in place.
+  std::vector<std::size_t> failed;
+  std::vector<std::size_t> origin;  // batch position -> source row
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    if (!reasons[i].empty()) continue;
-    origin.push_back(i);
-    batch.push_back(std::move(parsed[i]));
+    if (!reasons[i].empty()) failed.push_back(i);
   }
+  erase_positions(parsed, failed);
+  Database db;
   if (policy == IngestPolicy::kStrict) {
-    db.add_batch(std::move(batch));
+    db.add_batch(std::move(parsed));
     return db;
+  }
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (reasons[i].empty()) origin.push_back(i);
   }
   // Lenient dedup: add_batch reports rejected batch positions; map them
   // back to source rows so the quarantine entry carries shard + line.
-  for (const BatchReject& rej : db.add_batch(std::move(batch), policy)) {
+  for (const BatchReject& rej : db.add_batch(std::move(parsed), policy)) {
     reasons[origin[rej.index]] = rej.reason;
   }
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -498,10 +550,10 @@ Database::Database(const Database& other) : cell_(empty_snapshot()) {
 Database& Database::operator=(const Database& other) {
   if (this == &other) return *this;
   CorpusSnapshotPtr snap;
-  std::vector<std::pair<int, std::size_t>> base;
+  detail::IdIndex base;
   std::map<int, std::size_t> index;
   std::size_t base_rows = 0;
-  std::map<std::string, std::uint32_t> ids;
+  SoftwareIds ids;
   {
     std::lock_guard<std::mutex> lock{other.writer_mu_};
     snap = other.cell_.acquire();
@@ -630,7 +682,7 @@ void Database::rollback_writer_state_locked(const CorpusSnapshot& cur) {
   software_ids_.clear();
   const auto names = cur.software_names();
   for (std::size_t id = 0; id < names.size(); ++id) {
-    software_ids_.emplace(names[id], static_cast<std::uint32_t>(id));
+    software_ids_.try_emplace(names[id], static_cast<std::uint32_t>(id));
   }
 }
 
@@ -646,11 +698,10 @@ void Database::append_batch_locked(std::vector<VulnRecord>&& rows) {
   std::uint32_t next_id = static_cast<std::uint32_t>(old_names);
   try {
     for (std::size_t i = 0; i < rows.size(); ++i) {
-      const auto [it, inserted] =
-          software_ids_.emplace(rows[i].software, next_id);
-      if (inserted) {
+      auto it = software_ids_.find(rows[i].software);
+      if (it == software_ids_.end()) {
+        it = software_ids_.try_emplace(rows[i].software, next_id++).first;
         fresh.push_back(&it->first);
-        ++next_id;
       }
       sids[i] = it->second;
     }
@@ -692,6 +743,85 @@ void Database::append_batch_locked(std::vector<VulnRecord>&& rows) {
   }
 }
 
+void Database::build_locked(std::vector<VulnRecord>&& rows,
+                            detail::IdIndex&& index) {
+  const std::size_t n = rows.size();
+  auto arena = std::make_shared<detail::ColumnArena>();
+  detail::ColumnArena& a = *arena;
+  a.records = std::move(rows);
+  // Honor a reserve() made before the first rows landed.
+  a.reserve_rows(arena_ == nullptr ? n : std::max(n, arena_->row_capacity()));
+  a.category_col.resize(n);
+  a.class_col.resize(n);
+  a.remote_col.resize(n);
+  a.year_col.resize(n);
+  a.software_col.resize(n);
+
+  // Each block fills its slice of the columns and interns software
+  // names locally in first-use order; software_col holds block-local ids
+  // until the remap below.
+  runtime::ThreadPool& pool = runtime::ThreadPool::global();
+  const auto blocks = runtime::static_blocks(n, pool.parallelism());
+  std::vector<std::vector<std::string_view>> block_names(blocks.size());
+  pool.run_indexed(blocks.size(), [&](std::size_t b) {
+    std::unordered_map<std::string_view, std::uint32_t> local;
+    std::vector<std::string_view>& names = block_names[b];
+    for (std::size_t i = blocks[b].begin; i < blocks[b].end; ++i) {
+      const VulnRecord& r = a.records[i];
+      a.category_col[i] = r.category;
+      a.class_col[i] = r.vuln_class;
+      a.remote_col[i] = r.remote ? 1 : 0;
+      a.year_col[i] = r.year;
+      const auto [it, inserted] = local.try_emplace(
+          r.software, static_cast<std::uint32_t>(names.size()));
+      if (inserted) names.push_back(r.software);
+      a.software_col[i] = it->second;
+    }
+  });
+  // Serial remap in block order: a name's first block, and its first use
+  // there, is its first use overall — so global ids come out exactly as
+  // serial first-use interning assigns them.
+  SoftwareIds ids;
+  std::vector<std::vector<std::uint32_t>> remap(blocks.size());
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    for (const std::string_view name : block_names[b]) {
+      auto it = ids.find(name);
+      if (it == ids.end()) {
+        const auto id = static_cast<std::uint32_t>(a.software_names.size());
+        it = ids.try_emplace(std::string(name), id).first;
+        a.software_names.push_back(it->first);
+      }
+      remap[b].push_back(it->second);
+    }
+  }
+  pool.run_indexed(blocks.size(), [&](std::size_t b) {
+    for (std::size_t i = blocks[b].begin; i < blocks[b].end; ++i) {
+      a.software_col[i] = remap[b][a.software_col[i]];
+    }
+  });
+  publish_bulk_locked(std::move(arena), std::move(index), std::move(ids));
+}
+
+void Database::publish_bulk_locked(std::shared_ptr<detail::ColumnArena> arena,
+                                   detail::IdIndex&& index, SoftwareIds&& ids) {
+  const detail::ColumnArena& a = *arena;
+  const std::size_t n = a.records.size();
+  const std::size_t names = a.software_names.size();
+  CorpusHistograms hist = fold_columns(
+      std::span<const Category>(a.category_col),
+      std::span<const VulnClass>(a.class_col), std::span<const int>(a.year_col),
+      std::span<const std::uint32_t>(a.software_col), names);
+  // Everything that can throw happens before the writer state changes.
+  auto next = make_snapshot(arena, cell_.acquire()->epoch() + 1, n, names,
+                            std::move(hist));
+  arena_ = std::move(arena);
+  base_index_ = std::move(index);
+  base_rows_ = n;
+  index_.clear();
+  software_ids_ = std::move(ids);
+  cell_.publish(std::move(next));
+}
+
 const std::size_t* Database::find_id_locked(int id) const {
   const auto it = index_.find(id);
   if (it != index_.end()) return &it->second;
@@ -705,8 +835,7 @@ const std::size_t* Database::find_id_locked(int id) const {
 void Database::add(VulnRecord record) {
   std::lock_guard<std::mutex> lock{writer_mu_};
   if (record.id != 0 && find_id_locked(record.id) != nullptr) {
-    throw std::invalid_argument("duplicate Bugtraq ID: " +
-                                std::to_string(record.id));
+    throw std::invalid_argument(duplicate_id_reason(record.id));
   }
   std::vector<VulnRecord> one;
   one.push_back(std::move(record));
@@ -714,49 +843,57 @@ void Database::add(VulnRecord record) {
 }
 
 void Database::add_batch(std::vector<VulnRecord> batch) {
-  if (batch.empty()) return;  // true no-op: nothing validated, nothing published
-  std::lock_guard<std::mutex> lock{writer_mu_};
-  // Validate every ID before mutating anything, so a duplicate anywhere
-  // in the batch leaves the database untouched.
-  std::unordered_set<int> batch_ids;
-  batch_ids.reserve(batch.size());
-  for (const auto& r : batch) {
-    if (r.id == 0) continue;
-    if (find_id_locked(r.id) != nullptr || !batch_ids.insert(r.id).second) {
-      throw std::invalid_argument("duplicate Bugtraq ID: " +
-                                  std::to_string(r.id));
-    }
-  }
-  append_batch_locked(std::move(batch));
+  (void)add_batch(std::move(batch), IngestPolicy::kStrict);
 }
 
 std::vector<BatchReject> Database::add_batch(std::vector<VulnRecord> batch,
                                              IngestPolicy policy) {
-  if (policy == IngestPolicy::kStrict) {
-    add_batch(std::move(batch));
-    return {};
-  }
-  if (batch.empty()) return {};
+  if (batch.empty()) return {};  // true no-op: nothing published
   std::lock_guard<std::mutex> lock{writer_mu_};
-  // Lenient: one serial pass decides acceptance (first occurrence of a
-  // non-zero ID wins, matching the order a strict ingest would commit),
-  // then one bulk append publishes one new epoch.
-  std::vector<BatchReject> rejects;
-  std::vector<VulnRecord> accepted;
-  accepted.reserve(batch.size());
-  std::unordered_set<int> batch_ids;
-  batch_ids.reserve(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const int id = batch[i].id;
-    if (id != 0 &&
-        (find_id_locked(id) != nullptr || !batch_ids.insert(id).second)) {
-      rejects.push_back({i, "duplicate Bugtraq ID: " + std::to_string(id)});
-      continue;
+  const CorpusSnapshotPtr cur = cell_.acquire();
+  const bool bulk = cur->empty() && cur->software_count() == 0;
+  // Decide every ID before mutating anything: the repeated positions
+  // (each non-zero ID's occurrences after its first, or ones already in
+  // the database) in ascending order. A bulk build finds them in the id
+  // index it is about to adopt.
+  detail::IdIndex index;
+  std::vector<std::size_t> dups;
+  if (bulk) {
+    index = sorted_id_index(batch);
+    dups = duplicate_positions(index);
+  } else {
+    std::unordered_set<int> batch_ids;
+    batch_ids.reserve(batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const int id = batch[i].id;
+      if (id != 0 &&
+          (find_id_locked(id) != nullptr || !batch_ids.insert(id).second)) {
+        dups.push_back(i);
+        if (policy == IngestPolicy::kStrict) break;
+      }
     }
-    accepted.push_back(std::move(batch[i]));
   }
-  // An all-rejected batch is a true no-op: no epoch is published.
-  if (!accepted.empty()) append_batch_locked(std::move(accepted));
+  std::vector<BatchReject> rejects;
+  if (!dups.empty()) {
+    // Strict: the lowest repeated position names the ID, nothing lands.
+    if (policy == IngestPolicy::kStrict) {
+      throw std::invalid_argument(duplicate_id_reason(batch[dups.front()].id));
+    }
+    // Lenient: the first occurrence of an ID wins.
+    rejects.reserve(dups.size());
+    for (const std::size_t i : dups) {
+      rejects.push_back({i, duplicate_id_reason(batch[i].id)});
+    }
+    erase_positions(batch, dups);
+    // An all-rejected batch is a true no-op: no epoch is published.
+    if (batch.empty()) return rejects;
+    if (bulk) index = sorted_id_index(batch);
+  }
+  if (bulk) {
+    build_locked(std::move(batch), std::move(index));
+  } else {
+    append_batch_locked(std::move(batch));
+  }
   return rejects;
 }
 
@@ -842,41 +979,24 @@ Database Database::from_columns(BulkColumns&& columns) {
   arena->software_names = std::move(columns.software_names);
   const detail::ColumnArena& a = *arena;
 
-  Database db;
+  SoftwareIds ids;
   for (std::size_t id = 0; id < a.software_names.size(); ++id) {
-    if (!db.software_ids_
-             .emplace(a.software_names[id], static_cast<std::uint32_t>(id))
+    if (!ids.try_emplace(a.software_names[id], static_cast<std::uint32_t>(id))
              .second) {
       throw std::invalid_argument("from_columns: duplicate software name '" +
                                   a.software_names[id] + "'");
     }
   }
-  // Id index via one sort instead of n map inserts; adjacent equal ids
-  // expose duplicates.
-  std::vector<std::pair<int, std::size_t>> ids;
-  ids.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (a.records[i].id != 0) ids.emplace_back(a.records[i].id, i);
+  detail::IdIndex index = sorted_id_index(a.records);
+  if (const auto dups = duplicate_positions(index); !dups.empty()) {
+    throw std::invalid_argument(
+        duplicate_id_reason(a.records[dups.front()].id));
   }
-  std::sort(ids.begin(), ids.end());
-  for (std::size_t k = 1; k < ids.size(); ++k) {
-    if (ids[k].first == ids[k - 1].first) {
-      throw std::invalid_argument("duplicate Bugtraq ID: " +
-                                  std::to_string(ids[k].first));
-    }
+  Database db;
+  {
+    std::lock_guard<std::mutex> lock{db.writer_mu_};
+    db.publish_bulk_locked(std::move(arena), std::move(index), std::move(ids));
   }
-  // The sorted pairs ARE the base index — adopted as-is, no node inserts.
-  db.base_index_ = std::move(ids);
-  db.base_rows_ = n;
-
-  CorpusHistograms hist = fold_columns(
-      std::span<const Category>(a.category_col),
-      std::span<const VulnClass>(a.class_col), std::span<const int>(a.year_col),
-      std::span<const std::uint32_t>(a.software_col), a.software_names.size());
-  const std::size_t names_total = a.software_names.size();
-  db.arena_ = arena;
-  db.cell_.publish(
-      make_snapshot(std::move(arena), 1, n, names_total, std::move(hist)));
   return db;
 }
 

@@ -124,6 +124,9 @@ struct CorpusHistograms {
 
 namespace detail {
 struct ColumnArena;  // append-only backing storage (database.cpp)
+/// (Bugtraq id, row position) pairs sorted by id — the base id index a
+/// bulk build adopts.
+using IdIndex = std::vector<std::pair<int, std::size_t>>;
 }  // namespace detail
 
 /// One immutable epoch of the corpus: a frozen record range, frozen
@@ -290,8 +293,12 @@ class Database {
   /// preserved), extending the column arena once and folding the
   /// batch's histogram deltas into one new published epoch. Duplicate
   /// non-zero IDs (against the database or within the batch) throw
-  /// std::invalid_argument before anything is appended or published.
-  /// An empty batch is a true no-op: no epoch is published.
+  /// std::invalid_argument naming the ID at the lowest repeated batch
+  /// position, before anything is appended or published. An empty
+  /// batch is a true no-op: no epoch is published. A database with no
+  /// rows yet is bulk-built instead: every column fills on the runtime
+  /// pool and `batch` becomes the records column without per-record
+  /// moves — same result, byte for byte, as the per-row append.
   void add_batch(std::vector<VulnRecord> batch);
 
   /// Policy-aware bulk ingest. kStrict behaves exactly like add_batch
@@ -430,19 +437,35 @@ class Database {
   };
 
   /// Adopts pre-separated columns wholesale (no per-record re-derivation;
-  /// histograms come from one parallel sweep, the id index from one
-  /// sort). Throws std::invalid_argument on ragged column lengths, an
-  /// out-of-range software id, a duplicate software name, or a duplicate
-  /// non-zero Bugtraq ID. The result sits at epoch 1.
+  /// histograms come from one parallel sweep, the id index from the bulk
+  /// builder's one sort). Throws std::invalid_argument on ragged
+  /// column lengths, an out-of-range software id, a duplicate software
+  /// name, or a duplicate non-zero Bugtraq ID (the ID at the lowest
+  /// repeated position, as add_batch reports it). The result sits at
+  /// epoch 1.
   [[nodiscard]] static Database from_columns(BulkColumns&& columns);
 
   /// Merges another database into this one (duplicate-ID rules apply).
   void merge(const Database& other);
 
  private:
-  /// Appends pre-validated rows, folds their histogram deltas, and
-  /// publishes the next epoch. Caller holds writer_mu_.
+  using SoftwareIds = std::map<std::string, std::uint32_t, std::less<>>;
+
+  /// Appends pre-validated rows to a non-empty corpus, folds their
+  /// histogram deltas, and publishes the next epoch. Caller holds
+  /// writer_mu_.
   void append_batch_locked(std::vector<VulnRecord>&& rows);
+  /// The bulk builder, for a database with no rows: fills every column
+  /// over static blocks on the pool, interns software per block and
+  /// remaps in block order (the ids serial first-use interning gives),
+  /// adopts `rows` as the records column and publishes. `index` is the
+  /// rows' duplicate-free sorted id index. Caller holds writer_mu_.
+  void build_locked(std::vector<VulnRecord>&& rows, detail::IdIndex&& index);
+  /// Publishes a bulk-built arena as the next epoch: histograms from one
+  /// fold_columns sweep, `index` adopted as the base id index (no map
+  /// nodes), `ids` as the writer's intern table. Caller holds writer_mu_.
+  void publish_bulk_locked(std::shared_ptr<detail::ColumnArena> arena,
+                           detail::IdIndex&& index, SoftwareIds&& ids);
   /// Makes arena_ writable with capacity for `need_rows` records and
   /// `need_names` interned names (copy-on-write growth off the published
   /// snapshot when shared or exhausted). Caller holds writer_mu_.
@@ -464,17 +487,16 @@ class Database {
   /// The arena backing (a superset of) the published snapshot; null when
   /// this Database was copied and has not yet written (copy-on-write).
   std::shared_ptr<detail::ColumnArena> arena_;
-  /// Two-level Bugtraq-id index. Bulk adoption (from_columns) keeps the
-  /// id/position pairs it already sorted for duplicate detection as the
-  /// immutable BASE — positions index the arena prefix, which never
-  /// moves — and incremental appends land in the map OVERLAY, so a bulk
-  /// load pays no per-record node inserts and a small batch pays no
-  /// index-wide merge. Lookups probe the overlay, then binary-search
-  /// the base.
-  std::vector<std::pair<int, std::size_t>> base_index_;  ///< sorted by id
+  /// Two-level Bugtraq-id index. A bulk build keeps the id/position
+  /// pairs it already sorted for duplicate detection as the immutable
+  /// BASE — positions index the arena prefix, which never moves — and
+  /// incremental appends land in the map OVERLAY, so a bulk load pays
+  /// no per-record node inserts and a small batch pays no index-wide
+  /// merge. Lookups probe the overlay, then binary-search the base.
+  detail::IdIndex base_index_;
   std::map<int, std::size_t> index_;  ///< overlay: ids appended post-base
   std::size_t base_rows_ = 0;  ///< records covered by base_index_
-  std::map<std::string, std::uint32_t> software_ids_;  ///< name -> id
+  SoftwareIds software_ids_;  ///< name -> id
 };
 
 }  // namespace dfsm::bugtraq

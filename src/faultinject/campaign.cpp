@@ -28,22 +28,6 @@ namespace dfsm::faultinject {
 
 namespace {
 
-/// Strips every occurrence of "<workdir>/" so reports never contain the
-/// absolute workdir (byte-identical reports across machines).
-std::string strip_workdir(std::string text, const std::string& workdir) {
-  const std::string prefix = workdir + "/";
-  std::size_t pos = 0;
-  while ((pos = text.find(prefix, pos)) != std::string::npos) {
-    text.erase(pos, prefix.size());
-  }
-  return text;
-}
-
-void fail(TrialResult& r, const std::string& why) {
-  if (!r.failure.empty()) r.failure += "; ";
-  r.failure += why;
-}
-
 TrialResult run_corpus_trial(const CampaignConfig& cfg, std::size_t t,
                              Rng& rng) {
   TrialResult r;

@@ -53,8 +53,6 @@ staticlint::LintRun lint_and_record(const staticlint::LintModel& model,
   return run;
 }
 
-namespace {
-
 std::string strip_workdir(std::string text, const std::string& workdir) {
   const std::string prefix = workdir + "/";
   std::size_t pos = 0;
@@ -68,6 +66,8 @@ void fail(TrialResult& r, const std::string& why) {
   if (!r.failure.empty()) r.failure += "; ";
   r.failure += why;
 }
+
+namespace {
 
 void expect_rule(TrialResult& r, const std::string& id) {
   r.expected_rules.push_back(id);

@@ -27,6 +27,7 @@
 
 #include <array>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "apps/case_study.h"
@@ -108,6 +109,14 @@ struct ComposedDeps {
 [[nodiscard]] staticlint::LintRun lint_and_record(
     const staticlint::LintModel& model, const ComposedDeps& deps,
     TrialResult& r);
+
+/// Strips every occurrence of "<workdir>/" so reports never contain the
+/// absolute workdir (byte-identical reports across machines).
+[[nodiscard]] std::string strip_workdir(std::string text,
+                                        const std::string& workdir);
+
+/// Appends `why` to the trial's failure text ("; "-separated).
+void fail(TrialResult& r, const std::string& why);
 
 /// Draws 2–4 DISTINCT mutators from the pool (fuzz-style; pure in rng).
 [[nodiscard]] std::vector<ComposedMutator> draw_composition(Rng& rng);

@@ -2,6 +2,9 @@
 // histograms, and DFSM_THREADS edge cases over the sharded ingest path:
 // 0 and 1 (serial fallback), more threads than shards, empty corpus,
 // single-record corpus.
+#include <unistd.h>
+
+#include <algorithm>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -159,8 +162,14 @@ TEST(Histograms, CacheInvalidatesOnMutation) {
 class IngestThreads : public ::testing::TestWithParam<std::size_t> {
  protected:
   void SetUp() override {
+    // One directory per test and process: parallel ctest runs the
+    // parameterized tests concurrently, and one test's TearDown must not
+    // delete another's shards.
+    std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(name.begin(), name.end(), '/', '-');
     dir_ = std::filesystem::temp_directory_path() /
-           ("dfsm-ingest-" + std::to_string(GetParam()));
+           ("dfsm-ingest-" + name + "-" + std::to_string(::getpid()));
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override {
