@@ -241,10 +241,10 @@ BENCHMARK(BM_AutoToolProbeHunt)
 
 void BM_CorpusSweep(benchmark::State& state) {
   set_pool_threads(state.range(0));
-  const auto db = bugtraq::synthetic_corpus();
+  const auto snap = bugtraq::synthetic_corpus().snapshot();
   for (auto _ : state) {
     // The templated hot path: a content scan over all 5925 records.
-    auto n = db.count([](const bugtraq::VulnRecord& r) {
+    auto n = snap->count([](const bugtraq::VulnRecord& r) {
       return r.remote && r.description.find("overflow") != std::string::npos;
     });
     benchmark::DoNotOptimize(n);
@@ -278,7 +278,7 @@ const std::string& scaled_corpus_csv(std::size_t n) {
   static std::map<std::size_t, std::string> cache;
   auto it = cache.find(n);
   if (it == cache.end()) {
-    it = cache.emplace(n, scaled_corpus(n).to_csv()).first;
+    it = cache.emplace(n, scaled_corpus(n).snapshot()->to_csv()).first;
   }
   return it->second;
 }
@@ -288,8 +288,8 @@ void BM_CorpusIngestScaled(benchmark::State& state) {
   const std::string& csv = scaled_corpus_csv(n);
   set_pool_threads(state.range(0));
   for (auto _ : state) {
-    auto db = bugtraq::Database::from_csv(csv);
-    benchmark::DoNotOptimize(db.size());
+    auto db = bugtraq::Database::from_csv_parts({csv});
+    benchmark::DoNotOptimize(db.epoch());
   }
   restore_pool();
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
@@ -308,10 +308,10 @@ BENCHMARK(BM_CorpusIngestScaled)
 
 void BM_CorpusSweepScaled(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(1));
-  const auto& db = scaled_corpus(n);
+  const auto snap = scaled_corpus(n).snapshot();
   set_pool_threads(state.range(0));
   for (auto _ : state) {
-    auto hits = db.count([](const bugtraq::VulnRecord& r) {
+    auto hits = snap->count([](const bugtraq::VulnRecord& r) {
       return r.remote && r.title.find("overflow") != std::string::npos;
     });
     benchmark::DoNotOptimize(hits);
@@ -413,10 +413,10 @@ const std::vector<std::string>& reload_shards(std::size_t n, bool colsnap) {
                      ("dfsm-bench-reload-" + std::to_string(n));
     std::filesystem::create_directories(dir);
     const std::string base = (dir / "corpus").string();
-    const auto& db = scaled_corpus(n);
+    const auto snap = scaled_corpus(n).snapshot();
     it = cache
-             .emplace(key, colsnap ? bugtraq::write_colsnap_shards(db, base, 8)
-                                   : bugtraq::write_csv_shards(db, base, 8))
+             .emplace(key, colsnap ? bugtraq::write_colsnap_shards(*snap, base, 8)
+                                   : bugtraq::write_csv_shards(*snap, base, 8))
              .first;
   }
   return it->second;
@@ -428,7 +428,7 @@ void BM_CsvReload(benchmark::State& state) {
   set_pool_threads(state.range(0));
   for (auto _ : state) {
     auto db = bugtraq::read_csv_shards(paths);
-    benchmark::DoNotOptimize(db.size());
+    benchmark::DoNotOptimize(db.epoch());
   }
   restore_pool();
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
@@ -445,7 +445,7 @@ void BM_SnapshotReload(benchmark::State& state) {
   set_pool_threads(state.range(0));
   for (auto _ : state) {
     auto db = bugtraq::read_colsnap_shards(paths);
-    benchmark::DoNotOptimize(db.size());
+    benchmark::DoNotOptimize(db.epoch());
   }
   restore_pool();
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));

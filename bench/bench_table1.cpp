@@ -18,10 +18,10 @@ void print_artifacts() {
                         analysis::render_table1());
 
   // Extension: ambiguity census across every curated record.
-  const auto db = bugtraq::curated_records();
+  const auto snap = bugtraq::curated_records().snapshot();
   core::TextTable t{{"Record", "Plausible categories", "Ambiguous"}};
   t.title("Activity-level ambiguity across the curated paper records");
-  for (const auto& r : db.records()) {
+  for (const auto& r : snap->records()) {
     std::string cats;
     for (const auto c : bugtraq::plausible_categories(r)) {
       if (!cats.empty()) cats += "; ";
@@ -46,30 +46,31 @@ void BM_ClassifyActivity(benchmark::State& state) {
 BENCHMARK(BM_ClassifyActivity);
 
 void BM_PlausibleCategories(benchmark::State& state) {
-  const auto db = bugtraq::curated_records();
+  const auto snap = bugtraq::curated_records().snapshot();
   for (auto _ : state) {
-    for (const auto& r : db.records()) {
+    for (const auto& r : snap->records()) {
       auto cats = bugtraq::plausible_categories(r);
       benchmark::DoNotOptimize(cats.data());
     }
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(db.size()));
+                          static_cast<std::int64_t>(snap->size()));
 }
 BENCHMARK(BM_PlausibleCategories)->Unit(benchmark::kMicrosecond);
 
 void BM_ConsistencyCheckOverCorpus(benchmark::State& state) {
   auto db = bugtraq::synthetic_corpus();
   db.merge(bugtraq::curated_records());
+  const auto snap = db.snapshot();
   for (auto _ : state) {
     std::size_t consistent = 0;
-    for (const auto& r : db.records()) {
+    for (const auto& r : snap->records()) {
       if (bugtraq::classification_consistent(r)) ++consistent;
     }
     benchmark::DoNotOptimize(consistent);
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(db.size()));
+                          static_cast<std::int64_t>(snap->size()));
 }
 BENCHMARK(BM_ConsistencyCheckOverCorpus)->Unit(benchmark::kMicrosecond);
 

@@ -20,19 +20,20 @@ using namespace dfsm;
 int main(int argc, char** argv) {
   auto db = bugtraq::synthetic_corpus();
   db.merge(bugtraq::curated_records());
+  const auto snap = db.snapshot();
 
   if (argc > 1 && std::strcmp(argv[1], "--csv") == 0) {
-    std::fputs(db.to_csv().c_str(), stdout);
+    std::fputs(snap->to_csv().c_str(), stdout);
     return 0;
   }
 
   std::printf("Database: %zu reports (synthetic corpus matching the 2002-11-30 "
               "marginals + %zu curated paper records)\n\n",
-              db.size(), bugtraq::curated_records().size());
+              snap->size(), bugtraq::curated_records().snapshot()->size());
 
-  std::printf("%s\n", bugtraq::render_figure1(db).c_str());
+  std::printf("%s\n", bugtraq::render_figure1(*snap).c_str());
 
-  const auto share = bugtraq::studied_share(db);
+  const auto share = bugtraq::studied_share(*snap);
   std::printf("Studied classes: %zu reports = %.1f%% of the database "
               "(paper: 22%%)\n\n",
               share.studied_count, share.percent);
@@ -43,7 +44,7 @@ int main(int argc, char** argv) {
   // activity-anchored classification?
   std::size_t annotated = 0;
   std::size_t ambiguous = 0;
-  for (const auto& r : db.records()) {
+  for (const auto& r : snap->records()) {
     if (r.activities.empty()) continue;
     ++annotated;
     if (bugtraq::classification_ambiguous(r)) ++ambiguous;

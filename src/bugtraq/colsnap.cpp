@@ -540,12 +540,11 @@ std::vector<std::string> encode_colsnap_shards(const CorpusSnapshot& snap,
   });
 }
 
-std::vector<std::string> write_colsnap_shards(const Database& db,
+std::vector<std::string> write_colsnap_shards(const CorpusSnapshot& snap,
                                               const std::string& base,
                                               std::size_t shards) {
   if (shards == 0) shards = 1;
-  const CorpusSnapshotPtr snap = db.snapshot();
-  const auto bodies = encode_colsnap_shards(*snap, shards);
+  const auto bodies = encode_colsnap_shards(snap, shards);
   const auto paths = colsnap_shard_paths(base, shards);
   for (std::size_t i = 0; i < shards; ++i) {
     std::ofstream out{paths[i], std::ios::binary | std::ios::trunc};

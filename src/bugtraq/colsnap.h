@@ -76,11 +76,11 @@ inline constexpr std::size_t kColsnapHeaderSize = 48;
 [[nodiscard]] std::vector<std::string> encode_colsnap_shards(
     const CorpusSnapshot& snap, std::size_t count);
 
-/// Writes the database's current epoch as `shards` snapshot files under
-/// `base`. Every file exists even when the corpus has fewer records than
-/// shards (tail shards carry zero records). Returns the paths in shard
-/// order. Throws std::runtime_error if a file cannot be written.
-std::vector<std::string> write_colsnap_shards(const Database& db,
+/// Writes the snapshot as `shards` snapshot files under `base`. Every
+/// file exists even when the corpus has fewer records than shards (tail
+/// shards carry zero records). Returns the paths in shard order. Throws
+/// std::runtime_error if a file cannot be written.
+std::vector<std::string> write_colsnap_shards(const CorpusSnapshot& snap,
                                               const std::string& base,
                                               std::size_t shards);
 

@@ -24,19 +24,19 @@ std::vector<std::string> shard_paths(const std::string& base, std::size_t count)
   return paths;
 }
 
-std::vector<std::string> write_csv_shards(const Database& db,
+std::vector<std::string> write_csv_shards(const CorpusSnapshot& snap,
                                           const std::string& base,
                                           std::size_t shards) {
   if (shards == 0) shards = 1;
   // The record ranges are the static partition of (size, shards): at most
   // `shards` non-empty blocks, padded with empty tail ranges so exactly
   // `shards` files always exist.
-  auto blocks = runtime::static_blocks(db.size(), shards);
-  while (blocks.size() < shards) blocks.push_back({db.size(), db.size()});
+  auto blocks = runtime::static_blocks(snap.size(), shards);
+  while (blocks.size() < shards) blocks.push_back({snap.size(), snap.size()});
   // Shard bodies serialize concurrently (each one a contiguous range);
   // their contents depend only on the partition, not the thread count.
   const auto bodies = runtime::parallel_map<std::string>(
-      shards, [&](std::size_t i) { return db.to_csv(blocks[i].begin, blocks[i].end); });
+      shards, [&](std::size_t i) { return snap.to_csv(blocks[i].begin, blocks[i].end); });
   const auto paths = shard_paths(base, shards);
   for (std::size_t i = 0; i < shards; ++i) {
     std::ofstream out{paths[i], std::ios::binary | std::ios::trunc};
@@ -124,7 +124,7 @@ ShardIngestResult read_csv_shards(const std::vector<std::string>& paths,
   }
   if (options.policy == IngestPolicy::kStrict) {
     result.db = Database::from_csv_parts(parts, names, options.policy);
-    result.report.ingested = result.db.size();
+    result.report.ingested = result.db.snapshot()->size();
     return result;
   }
   IngestReport parse_report;

@@ -7,9 +7,9 @@
 // order and parses rows on the runtime pool; the resulting database
 // equals a serial read exactly at any thread count.
 //
-// This is the ingest path for 10^6+-record corpora (ROADMAP "corpus
-// scaling"): tools/gen_corpus emits shards, benches and sweeps read them
-// back through Database::add_batch in one bulk ingest.
+// This is the ingest path for 10^6+-record corpora: `dfsm_corpus gen`
+// emits shards, and benches and sweeps read them back through
+// Database::from_csv_parts in one bulk ingest.
 #ifndef DFSM_BUGTRAQ_CSV_SHARDS_H
 #define DFSM_BUGTRAQ_CSV_SHARDS_H
 
@@ -30,11 +30,11 @@ namespace dfsm::bugtraq {
 [[nodiscard]] std::vector<std::string> shard_paths(const std::string& base,
                                                    std::size_t count);
 
-/// Writes the database as `shards` CSV files under `base` (0 is treated
-/// as 1). Every file exists even when the database has fewer records
+/// Writes the snapshot as `shards` CSV files under `base` (0 is treated
+/// as 1). Every file exists even when the snapshot has fewer records
 /// than shards — the tail shards are header-only. Returns the paths in
 /// shard order. Throws std::runtime_error if a file cannot be written.
-std::vector<std::string> write_csv_shards(const Database& db,
+std::vector<std::string> write_csv_shards(const CorpusSnapshot& snap,
                                           const std::string& base,
                                           std::size_t shards);
 

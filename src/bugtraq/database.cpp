@@ -440,7 +440,7 @@ Database parse_csv_docs(const std::vector<const std::string*>& docs,
         {*row.name, row.line, reasons[i],
          row.text->substr(row.begin, row.end - row.begin)});
   }
-  report->ingested = db.size();
+  report->ingested = db.snapshot()->size();
   return db;
 }
 
@@ -842,10 +842,6 @@ void Database::add(VulnRecord record) {
   append_batch_locked(std::move(one));
 }
 
-void Database::add_batch(std::vector<VulnRecord> batch) {
-  (void)add_batch(std::move(batch), IngestPolicy::kStrict);
-}
-
 std::vector<BatchReject> Database::add_batch(std::vector<VulnRecord> batch,
                                              IngestPolicy policy) {
   if (batch.empty()) return {};  // true no-op: nothing published
@@ -897,13 +893,13 @@ std::vector<BatchReject> Database::add_batch(std::vector<VulnRecord> batch,
   return rejects;
 }
 
-const VulnRecord* Database::by_id(int id) const {
+std::optional<VulnRecord> Database::by_id(int id) const {
   std::lock_guard<std::mutex> lock{writer_mu_};
   const std::size_t* pos = find_id_locked(id);
-  if (pos == nullptr) return nullptr;
+  if (pos == nullptr) return std::nullopt;
   // Index positions never exceed the published size (appends publish
   // before releasing the writer lock, and failed appends roll back).
-  return &cell_.acquire()->records()[*pos];
+  return cell_.acquire()->records()[*pos];
 }
 
 void Database::reserve(std::size_t capacity) {
@@ -913,35 +909,18 @@ void Database::reserve(std::size_t capacity) {
                       cur->software_count());
 }
 
-std::vector<const VulnRecord*> Database::query(
-    const std::function<bool(const VulnRecord&)>& pred) const {
-  return query<const std::function<bool(const VulnRecord&)>&>(pred);
-}
-
-std::size_t Database::count(
-    const std::function<bool(const VulnRecord&)>& pred) const {
-  return count<const std::function<bool(const VulnRecord&)>&>(pred);
-}
-
-Database Database::from_csv(const std::string& csv) {
-  return from_csv_parts({csv}, {"<csv>"}, IngestPolicy::kStrict);
-}
-
-Database Database::from_csv_parts(const std::vector<std::string>& parts) {
-  std::vector<std::string> names;
-  names.reserve(parts.size());
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    names.push_back("part " + std::to_string(i));
-  }
-  return from_csv_parts(parts, names, IngestPolicy::kStrict);
-}
-
 Database Database::from_csv_parts(const std::vector<std::string>& parts,
                                   const std::vector<std::string>& names,
                                   IngestPolicy policy, IngestReport* report) {
-  if (parts.size() != names.size()) {
+  std::vector<std::string> labels = names;
+  if (labels.empty()) {
+    labels.reserve(parts.size());
+    for (std::size_t i = 0; i < parts.size(); ++i) {
+      labels.push_back("part " + std::to_string(i));
+    }
+  } else if (parts.size() != labels.size()) {
     throw std::invalid_argument("from_csv_parts: " + std::to_string(parts.size()) +
-                                " parts but " + std::to_string(names.size()) +
+                                " parts but " + std::to_string(labels.size()) +
                                 " names");
   }
   if (policy == IngestPolicy::kLenient && report == nullptr) {
@@ -950,7 +929,7 @@ Database Database::from_csv_parts(const std::vector<std::string>& parts,
   std::vector<const std::string*> docs;
   docs.reserve(parts.size());
   for (const auto& p : parts) docs.push_back(&p);
-  return parse_csv_docs(docs, names, policy, report);
+  return parse_csv_docs(docs, labels, policy, report);
 }
 
 Database Database::from_columns(BulkColumns&& columns) {

@@ -7,18 +7,19 @@
 //
 // Concurrency model (DESIGN.md §15). All read state lives in an
 // immutable, versioned CorpusSnapshot published through a
-// runtime::SnapshotCell (RCU-style atomic shared_ptr swap). Readers call
-// snapshot() — or any const query, which acquires one internally — and
-// see ONE consistent epoch: a frozen record range, frozen columns, and
+// runtime::SnapshotCell (RCU-style atomic shared_ptr swap). snapshot()
+// is the only read path: a reader holds one CorpusSnapshot and sees ONE
+// consistent epoch — a frozen record range, frozen columns, and
 // histograms that are always exact for that range, no matter how many
-// add_batch() ingests land concurrently. Writers serialize on a private
-// mutex, append into a capacity-shared column arena (appends past the
-// published size never move the bytes a live snapshot points at; growth
-// copies into a fresh arena, and old arenas stay alive until their last
-// snapshot drops), fold the batch's histogram deltas into a copy of the
-// published histograms — incremental maintenance, no
-// invalidate-and-rebuild — and publish the next epoch with one atomic
-// swap.
+// add_batch() ingests land concurrently; Database itself keeps only the
+// writes plus snapshot(), epoch() and a copying by_id(). Writers
+// serialize on a private mutex, append into a capacity-shared column
+// arena (appends past the published size never move the bytes a live
+// snapshot points at; growth copies into a fresh arena, and old arenas
+// stay alive until their last snapshot drops), fold the batch's
+// histogram deltas into a copy of the published histograms —
+// incremental maintenance, no invalidate-and-rebuild — and publish the
+// next epoch with one atomic swap.
 //
 // Storage is row-major (records) plus columnar category/class/remote/
 // year/software projections (software interned to dense ids): statistics
@@ -33,10 +34,10 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -291,24 +292,22 @@ class Database {
 
   /// Bulk ingest: appends every record of `batch` (insertion order
   /// preserved), extending the column arena once and folding the
-  /// batch's histogram deltas into one new published epoch. Duplicate
-  /// non-zero IDs (against the database or within the batch) throw
-  /// std::invalid_argument naming the ID at the lowest repeated batch
-  /// position, before anything is appended or published. An empty
+  /// batch's histogram deltas into one new published epoch. An empty
   /// batch is a true no-op: no epoch is published. A database with no
   /// rows yet is bulk-built instead: every column fills on the runtime
   /// pool and `batch` becomes the records column without per-record
   /// moves — same result, byte for byte, as the per-row append.
-  void add_batch(std::vector<VulnRecord> batch);
-
-  /// Policy-aware bulk ingest. kStrict behaves exactly like add_batch
-  /// (throws on any duplicate, nothing appended) and returns an empty
-  /// vector. kLenient appends every acceptable record (first occurrence
-  /// of an ID wins) and returns the rejected batch positions with
-  /// reasons, in ascending index order. A batch with nothing acceptable
-  /// publishes nothing.
-  std::vector<BatchReject> add_batch(std::vector<VulnRecord> batch,
-                                     IngestPolicy policy);
+  ///
+  /// kStrict throws std::invalid_argument on a duplicate non-zero ID
+  /// (against the database or within the batch) naming the ID at the
+  /// lowest repeated batch position, before anything is appended or
+  /// published, and otherwise returns an empty vector. kLenient appends
+  /// every acceptable record (first occurrence of an ID wins) and
+  /// returns the rejected batch positions with reasons, in ascending
+  /// index order; a batch with nothing acceptable publishes nothing.
+  std::vector<BatchReject> add_batch(
+      std::vector<VulnRecord> batch,
+      IngestPolicy policy = IngestPolicy::kStrict);
 
   /// The current epoch's immutable snapshot — the unit of isolation.
   /// Holding it pins that epoch's records, columns, and histograms.
@@ -322,105 +321,32 @@ class Database {
   /// paused either way).
   void reserve(std::size_t capacity);
 
-  [[nodiscard]] std::size_t size() const noexcept {
-    return cell_.acquire()->size();
-  }
+  /// A copy of the record with Bugtraq ID `id` (non-zero IDs only) as
+  /// of the current epoch, or nullopt. Copied under the writer lock (the
+  /// id index is writer-side state, not snapshot state), so the result
+  /// owns its bytes no matter what the writer publishes afterwards.
+  [[nodiscard]] std::optional<VulnRecord> by_id(int id) const;
 
-  /// Record/column views of the CURRENT epoch. Each call may observe a
-  /// newer epoch than the last; a multi-access read that needs one
-  /// consistent version should hold a snapshot() instead. The spans stay
-  /// valid while this Database (or any held snapshot of it) is alive.
-  [[nodiscard]] std::span<const VulnRecord> records() const noexcept {
-    return cell_.acquire()->records();
-  }
-  [[nodiscard]] std::span<const Category> categories() const noexcept {
-    return cell_.acquire()->categories();
-  }
-  [[nodiscard]] std::span<const VulnClass> classes() const noexcept {
-    return cell_.acquire()->classes();
-  }
-  [[nodiscard]] std::span<const unsigned char> remote_flags() const noexcept {
-    return cell_.acquire()->remote_flags();
-  }
-  [[nodiscard]] std::span<const int> years() const noexcept {
-    return cell_.acquire()->years();
-  }
-  [[nodiscard]] std::span<const std::uint32_t> software_ids() const noexcept {
-    return cell_.acquire()->software_ids();
-  }
-  [[nodiscard]] const std::string& software_name(std::uint32_t id) const {
-    return cell_.acquire()->software_name(id);
-  }
-
-  /// Lookup by Bugtraq ID (non-zero IDs only). Serializes briefly with
-  /// writers (the id index is writer-side state, not snapshot state).
-  [[nodiscard]] const VulnRecord* by_id(int id) const;
-
-  template <typename Pred>
-  [[nodiscard]] std::vector<const VulnRecord*> query(Pred&& pred) const {
-    return cell_.acquire()->query(std::forward<Pred>(pred));
-  }
-
-  template <typename Pred>
-  [[nodiscard]] std::size_t count(Pred&& pred) const {
-    return cell_.acquire()->count(std::forward<Pred>(pred));
-  }
-
-  /// Type-erased forms kept for existing callers; they delegate to the
-  /// templated overloads above (one std::function indirection per record
-  /// instead of per call site).
-  [[nodiscard]] std::vector<const VulnRecord*> query(
-      const std::function<bool(const VulnRecord&)>& pred) const;
-  [[nodiscard]] std::size_t count(
-      const std::function<bool(const VulnRecord&)>& pred) const;
-
-  /// Histograms of the current epoch — lock-free, always exact, O(output)
-  /// (no sweep: snapshots carry incrementally-maintained histograms).
-  [[nodiscard]] std::map<Category, std::size_t> count_by_category() const {
-    return cell_.acquire()->count_by_category();
-  }
-  [[nodiscard]] std::map<VulnClass, std::size_t> count_by_class() const {
-    return cell_.acquire()->count_by_class();
-  }
-  [[nodiscard]] std::map<int, std::size_t> count_by_year() const {
-    return cell_.acquire()->count_by_year();
-  }
-  [[nodiscard]] std::map<std::string, std::size_t> count_by_software() const {
-    return cell_.acquire()->count_by_software();
-  }
-
-  [[nodiscard]] std::string to_csv() const { return cell_.acquire()->to_csv(); }
-  [[nodiscard]] std::string to_csv(std::size_t begin, std::size_t end) const {
-    return cell_.acquire()->to_csv(begin, end);
-  }
-
-  /// Parses a CSV produced by to_csv. Throws std::invalid_argument on a
-  /// malformed header or row — the message carries the 1-based line
-  /// number ("<csv>:7: bad CSV row: ..."). Row parsing is sharded across
-  /// the runtime pool (the result is identical at any thread count; on
-  /// malformed input parsing cancels cooperatively and the lowest row's
-  /// error is the one thrown), and the parsed records land in one
-  /// add_batch. Tolerates CRLF line endings and a UTF-8 BOM.
-  [[nodiscard]] static Database from_csv(const std::string& csv);
-
-  /// Parses several CSV documents (each with the standard header) into
-  /// one database, rows concatenated in part order — the in-memory half
-  /// of the sharded corpus reader (csv_shards.h). Strict; parts are
-  /// labeled "part <k>" in error messages.
-  [[nodiscard]] static Database from_csv_parts(
-      const std::vector<std::string>& parts);
-
-  /// Policy-aware variant: `names[i]` labels part i in error messages
-  /// and report entries (csv_shards passes the shard paths). kStrict
-  /// throws std::invalid_argument as "<name>:<line>: <reason>"; kLenient
-  /// quarantines malformed rows, whole parts with bad headers, and
-  /// duplicate IDs into `report` (required non-null for kLenient) and
-  /// returns the partial database — byte-identical, report included, at
-  /// any thread count. Throws std::invalid_argument if names and parts
-  /// differ in length.
+  /// Parses CSV documents (each with the header CorpusSnapshot::to_csv
+  /// writes) into one database, rows concatenated in part order, in one
+  /// add_batch — the in-memory half of the sharded corpus reader
+  /// (csv_shards.h). `names[i]` labels part i in error messages and
+  /// report entries; when `names` is empty the parts are labeled
+  /// "part <k>". Row parsing is sharded across the runtime pool and the
+  /// result — report included — is byte-identical at any thread count.
+  /// Tolerates CRLF line endings and a UTF-8 BOM.
+  ///
+  /// kStrict throws std::invalid_argument as "<name>:<line>: <reason>"
+  /// (1-based line; on malformed input parsing cancels cooperatively and
+  /// the lowest row's error is the one thrown). kLenient quarantines
+  /// malformed rows, whole parts with bad headers, and duplicate IDs
+  /// into `report` (required non-null for kLenient) and returns the
+  /// partial database. Throws std::invalid_argument if `names` is
+  /// non-empty and differs from `parts` in length.
   [[nodiscard]] static Database from_csv_parts(
       const std::vector<std::string>& parts,
-      const std::vector<std::string>& names, IngestPolicy policy,
+      const std::vector<std::string>& names = {},
+      IngestPolicy policy = IngestPolicy::kStrict,
       IngestReport* report = nullptr);
 
   /// Pre-separated columns for trusted bulk adoption (the binary

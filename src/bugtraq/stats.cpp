@@ -8,9 +8,9 @@
 
 namespace dfsm::bugtraq {
 
-std::vector<CategoryShare> category_breakdown(const Database& db) {
-  const auto counts = db.count_by_category();
-  const double total = static_cast<double>(db.size());
+std::vector<CategoryShare> category_breakdown(const CorpusSnapshot& snap) {
+  const auto counts = snap.count_by_category();
+  const double total = static_cast<double>(snap.size());
   std::vector<CategoryShare> out;
   for (Category c : kAllCategories) {
     CategoryShare s;
@@ -27,10 +27,10 @@ std::vector<CategoryShare> category_breakdown(const Database& db) {
   return out;
 }
 
-StudiedShare studied_share(const Database& db) {
+StudiedShare studied_share(const CorpusSnapshot& snap) {
   StudiedShare out;
-  out.total = db.size();
-  const auto by_class = db.count_by_class();
+  out.total = snap.size();
+  const auto by_class = snap.count_by_class();
   static constexpr VulnClass kStudied[] = {
       VulnClass::kStackBufferOverflow, VulnClass::kHeapOverflow,
       VulnClass::kIntegerOverflow,     VulnClass::kFormatString,
@@ -54,10 +54,10 @@ StudiedShare studied_share(const Database& db) {
   return out;
 }
 
-RemoteLocalSplit remote_local_split(const Database& db) {
+RemoteLocalSplit remote_local_split(const CorpusSnapshot& snap) {
   // Sharded sweep over the 1-byte remote column; per-shard sums merge in
   // index order (runtime/parallel.h), identical to the serial walk.
-  const auto& remote = db.remote_flags();
+  const auto remote = snap.remote_flags();
   RemoteLocalSplit s;
   s.remote = runtime::parallel_reduce(
       remote.size(), std::size_t{0},
@@ -67,23 +67,21 @@ RemoteLocalSplit remote_local_split(const Database& db) {
         return n;
       },
       [](std::size_t& acc, std::size_t part) { acc += part; });
-  s.local = db.size() - s.remote;
+  s.local = snap.size() - s.remote;
   return s;
 }
 
-std::vector<YearCount> by_year(const Database& db) {
-  // Served from the database's cached columnar histogram (the per-call
-  // record-walk map merge this used to do is gone — ROADMAP "histogram
-  // cache breadth").
-  const auto counts = db.count_by_year();
+std::vector<YearCount> by_year(const CorpusSnapshot& snap) {
+  // Served from the snapshot's incrementally maintained histogram.
+  const auto counts = snap.count_by_year();
   std::vector<YearCount> out;
   out.reserve(counts.size());
   for (const auto& [year, count] : counts) out.push_back({year, count});
   return out;
 }
 
-std::vector<SoftwareCount> top_software(const Database& db, std::size_t n) {
-  const auto counts = db.count_by_software();
+std::vector<SoftwareCount> top_software(const CorpusSnapshot& snap, std::size_t n) {
+  const auto counts = snap.count_by_software();
   std::vector<SoftwareCount> out;
   out.reserve(counts.size());
   for (const auto& [software, count] : counts) out.push_back({software, count});
@@ -96,11 +94,11 @@ std::vector<SoftwareCount> top_software(const Database& db, std::size_t n) {
   return out;
 }
 
-std::string render_figure1(const Database& db) {
+std::string render_figure1(const CorpusSnapshot& snap) {
   core::TextTable t{{"Category", "Count", "Share", "Pie label"}};
-  t.title("Figure 1: Breakdown of " + std::to_string(db.size()) +
+  t.title("Figure 1: Breakdown of " + std::to_string(snap.size()) +
           " Bugtraq vulnerabilities");
-  for (const auto& s : category_breakdown(db)) {
+  for (const auto& s : category_breakdown(snap)) {
     char exact[16];
     std::snprintf(exact, sizeof exact, "%.2f%%", s.percent);
     t.add_row({to_string(s.category), std::to_string(s.count), exact,

@@ -1,5 +1,6 @@
 // stats.h — the paper's statistical analysis (§3.1): the Figure 1 category
-// breakdown and the §1 studied-class coverage share.
+// breakdown and the §1 studied-class coverage share. Every report reads
+// one CorpusSnapshot, so its counts and its total come from one epoch.
 #ifndef DFSM_BUGTRAQ_STATS_H
 #define DFSM_BUGTRAQ_STATS_H
 
@@ -19,7 +20,7 @@ struct CategoryShare {
 };
 
 /// The full breakdown, sorted by count descending (ties by enum order).
-[[nodiscard]] std::vector<CategoryShare> category_breakdown(const Database& db);
+[[nodiscard]] std::vector<CategoryShare> category_breakdown(const CorpusSnapshot& snap);
 
 /// One studied-class row.
 struct ClassShare {
@@ -37,7 +38,7 @@ struct StudiedShare {
   double percent = 0.0;
 };
 
-[[nodiscard]] StudiedShare studied_share(const Database& db);
+[[nodiscard]] StudiedShare studied_share(const CorpusSnapshot& snap);
 
 /// Remote vs local split (the paper notes the studied set includes "both
 /// those that can be exploited remotely ... and those that can be
@@ -47,26 +48,26 @@ struct RemoteLocalSplit {
   std::size_t local = 0;
 };
 
-[[nodiscard]] RemoteLocalSplit remote_local_split(const Database& db);
+[[nodiscard]] RemoteLocalSplit remote_local_split(const CorpusSnapshot& snap);
 
 /// Renders the Figure 1 breakdown as a text table (shared by the bench
 /// and the example binary).
-[[nodiscard]] std::string render_figure1(const Database& db);
+[[nodiscard]] std::string render_figure1(const CorpusSnapshot& snap);
 
 /// Reports per discovery year, ascending (the §7-style longitudinal cut
-/// an analyst would run next on the same database).
+/// an analyst would run next on the same snapshot).
 struct YearCount {
   int year = 0;
   std::size_t count = 0;
 };
-[[nodiscard]] std::vector<YearCount> by_year(const Database& db);
+[[nodiscard]] std::vector<YearCount> by_year(const CorpusSnapshot& snap);
 
 /// The n most-reported software packages, descending (ties by name).
 struct SoftwareCount {
   std::string software;
   std::size_t count = 0;
 };
-[[nodiscard]] std::vector<SoftwareCount> top_software(const Database& db,
+[[nodiscard]] std::vector<SoftwareCount> top_software(const CorpusSnapshot& snap,
                                                       std::size_t n);
 
 }  // namespace dfsm::bugtraq

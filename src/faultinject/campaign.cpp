@@ -41,13 +41,13 @@ TrialResult run_corpus_trial(const CampaignConfig& cfg, std::size_t t,
       cfg.min_records + rng.below(cfg.max_records - cfg.min_records + 1);
   const std::size_t nshards = 2 + rng.below(cfg.max_shards - 1);
   const std::uint64_t corpus_seed = rng.next();
-  const bugtraq::Database db = bugtraq::synthetic_corpus_n(n, corpus_seed);
+  const auto snap = bugtraq::synthetic_corpus_n(n, corpus_seed).snapshot();
   auto blocks = runtime::static_blocks(n, nshards);
   while (blocks.size() < nshards) blocks.push_back({n, n});
   ShardSet set;
   set.paths = bugtraq::shard_paths(cfg.workdir + "/t", nshards);
   for (std::size_t i = 0; i < nshards; ++i) {
-    set.contents.push_back(db.to_csv(blocks[i].begin, blocks[i].end));
+    set.contents.push_back(snap->to_csv(blocks[i].begin, blocks[i].end));
     set.data_rows.push_back(blocks[i].end - blocks[i].begin);
   }
   std::map<std::string, std::size_t> rows_of;
@@ -168,12 +168,12 @@ TrialResult run_snapshot_trial(const CampaignConfig& cfg, std::size_t t,
       cfg.min_records + rng.below(cfg.max_records - cfg.min_records + 1);
   const std::size_t nshards = 2 + rng.below(cfg.max_shards - 1);
   const std::uint64_t corpus_seed = rng.next();
-  const bugtraq::Database db = bugtraq::synthetic_corpus_n(n, corpus_seed);
+  const auto snap = bugtraq::synthetic_corpus_n(n, corpus_seed).snapshot();
   r.generated = n;
 
   SnapshotSet set;
   set.names = bugtraq::colsnap_shard_paths("t", nshards);  // workdir-free
-  set.contents = bugtraq::encode_colsnap_shards(*db.snapshot(), nshards);
+  set.contents = bugtraq::encode_colsnap_shards(*snap, nshards);
   const std::vector<std::string> pristine = set.contents;
 
   const SnapshotFault fault =
@@ -187,7 +187,7 @@ TrialResult run_snapshot_trial(const CampaignConfig& cfg, std::size_t t,
   try {
     const auto loaded = bugtraq::decode_colsnap_shards(set.contents, set.names);
     fail(r, "loader accepted a mutated snapshot (" +
-                std::to_string(loaded.size()) + " records)");
+                std::to_string(loaded.snapshot()->size()) + " records)");
   } catch (const std::invalid_argument& ex) {
     r.strict_threw = true;
     r.strict_error = ex.what();
@@ -199,12 +199,13 @@ TrialResult run_snapshot_trial(const CampaignConfig& cfg, std::size_t t,
 
   // Conservation: the unmutated shard set still carries every record.
   try {
-    const auto clean = bugtraq::decode_colsnap_shards(pristine, set.names);
-    r.ingested = clean.size();
-    r.conserved = clean.size() == n && clean.to_csv() == db.to_csv();
+    const auto clean =
+        bugtraq::decode_colsnap_shards(pristine, set.names).snapshot();
+    r.ingested = clean->size();
+    r.conserved = clean->size() == n && clean->to_csv() == snap->to_csv();
     if (!r.conserved) {
       fail(r, "pristine snapshot lost records: decoded " +
-                  std::to_string(clean.size()) + " of " + std::to_string(n));
+                  std::to_string(clean->size()) + " of " + std::to_string(n));
     }
   } catch (const std::exception& ex) {
     fail(r, std::string("pristine snapshot refused: ") + ex.what());

@@ -134,13 +134,13 @@ void run_corpus_phase(const std::vector<ComposedMutator>& corpus_kinds,
   const std::size_t n =
       cfg.min_records + rng.below(cfg.max_records - cfg.min_records + 1);
   const std::uint64_t corpus_seed = rng.next();
-  const bugtraq::Database db = bugtraq::synthetic_corpus_n(n, corpus_seed);
+  const auto snap = bugtraq::synthetic_corpus_n(n, corpus_seed).snapshot();
   auto blocks = runtime::static_blocks(n, nshards);
   while (blocks.size() < nshards) blocks.push_back({n, n});
   ShardSet set;
   set.paths = bugtraq::shard_paths(cfg.workdir + "/t", nshards);
   for (std::size_t i = 0; i < nshards; ++i) {
-    set.contents.push_back(db.to_csv(blocks[i].begin, blocks[i].end));
+    set.contents.push_back(snap->to_csv(blocks[i].begin, blocks[i].end));
     set.data_rows.push_back(blocks[i].end - blocks[i].begin);
   }
   std::map<std::string, std::size_t> rows_of;

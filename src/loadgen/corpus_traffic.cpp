@@ -74,9 +74,9 @@ CorpusTrafficReport run_corpus_traffic(const CorpusTrafficSpec& spec) {
 
   // Ground truth, built in one shot; the raced service must end up
   // byte-identical to it.
-  const bugtraq::Database reference =
-      bugtraq::synthetic_corpus_n(spec.records, spec.seed);
-  const auto ref_span = reference.records();
+  const auto reference =
+      bugtraq::synthetic_corpus_n(spec.records, spec.seed).snapshot();
+  const auto ref_span = reference->records();
   const std::vector<bugtraq::VulnRecord> rows{ref_span.begin(), ref_span.end()};
 
   bugtraq::Database db;
@@ -108,7 +108,7 @@ CorpusTrafficReport run_corpus_traffic(const CorpusTrafficSpec& spec) {
   report.acquires = acquires.load();
   report.histograms_exact =
       bugtraq::rebuild_histograms(*snap) == snap->histograms();
-  report.bytes_identical = snap->to_csv() == reference.to_csv();
+  report.bytes_identical = snap->to_csv() == reference->to_csv();
   return report;
 }
 

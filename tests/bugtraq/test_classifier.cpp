@@ -51,8 +51,8 @@ TEST(Classifier, Table1RecordsAreSelfConsistentAndAmbiguous) {
 }
 
 TEST(Classifier, EveryCuratedRecordIsSelfConsistent) {
-  const auto db = curated_records();
-  for (const auto& r : db.records()) {
+  const auto snap = curated_records().snapshot();
+  for (const auto& r : snap->records()) {
     EXPECT_TRUE(classification_consistent(r)) << r.title;
   }
 }

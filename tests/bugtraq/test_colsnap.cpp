@@ -65,24 +65,24 @@ TEST_F(ColsnapTest, ShardPathNaming) {
 }
 
 TEST_F(ColsnapTest, RoundTripMatchesCsvShardsByteForByte) {
-  const auto db = synthetic_corpus_n(2000, 7);
-  const auto csv_paths = write_csv_shards(db, base("c"), 4);
-  const auto snap_paths = write_colsnap_shards(db, base("s"), 4);
+  const auto snap = synthetic_corpus_n(2000, 7).snapshot();
+  const auto csv_paths = write_csv_shards(*snap, base("c"), 4);
+  const auto snap_paths = write_colsnap_shards(*snap, base("s"), 4);
   ASSERT_EQ(snap_paths.size(), 4u);
 
-  const Database via_csv = read_csv_shards(csv_paths);
-  const Database via_snap = read_colsnap_shards(snap_paths);
-  EXPECT_EQ(via_snap.to_csv(), via_csv.to_csv());
-  EXPECT_EQ(via_snap.to_csv(), db.to_csv());
-  EXPECT_EQ(via_snap.count_by_category(), db.count_by_category());
-  EXPECT_EQ(via_snap.count_by_class(), db.count_by_class());
-  EXPECT_EQ(via_snap.count_by_year(), db.count_by_year());
-  EXPECT_EQ(via_snap.count_by_software(), db.count_by_software());
-  EXPECT_EQ(via_snap.epoch(), 1u);
+  const auto via_csv = read_csv_shards(csv_paths).snapshot();
+  const auto via_snap = read_colsnap_shards(snap_paths).snapshot();
+  EXPECT_EQ(via_snap->to_csv(), via_csv->to_csv());
+  EXPECT_EQ(via_snap->to_csv(), snap->to_csv());
+  EXPECT_EQ(via_snap->count_by_category(), snap->count_by_category());
+  EXPECT_EQ(via_snap->count_by_class(), snap->count_by_class());
+  EXPECT_EQ(via_snap->count_by_year(), snap->count_by_year());
+  EXPECT_EQ(via_snap->count_by_software(), snap->count_by_software());
+  EXPECT_EQ(via_snap->epoch(), 1u);
   // A reloaded corpus re-encodes to the same bytes (same partition, same
   // interning order) apart from the header epoch, which records the
   // source database's publication count.
-  const auto again = encode_colsnap_shards(*via_snap.snapshot(), 4);
+  const auto again = encode_colsnap_shards(*via_snap, 4);
   for (std::size_t i = 0; i < 4; ++i) {
     std::string orig = slurp(snap_paths[i]);
     std::string re = again[i];
@@ -94,14 +94,12 @@ TEST_F(ColsnapTest, RoundTripMatchesCsvShardsByteForByte) {
 }
 
 TEST_F(ColsnapTest, CuratedCorpusWithActivitiesRoundTrips) {
-  const auto db = curated_records();
-  ASSERT_GT(db.size(), 0u);
-  const auto paths = write_colsnap_shards(db, base("cur"), 3);
-  const Database back = read_colsnap_shards(paths);
-  EXPECT_EQ(back.to_csv(), db.to_csv());
+  const auto orig = curated_records().snapshot();
+  ASSERT_GT(orig->size(), 0u);
+  const auto paths = write_colsnap_shards(*orig, base("cur"), 3);
+  const auto got = read_colsnap_shards(paths).snapshot();
+  EXPECT_EQ(got->to_csv(), orig->to_csv());
   // Activities and reference indices survive the binary encoding.
-  const auto orig = db.snapshot();
-  const auto got = back.snapshot();
   ASSERT_EQ(got->size(), orig->size());
   for (std::size_t i = 0; i < orig->size(); ++i) {
     EXPECT_EQ(got->records()[i].activities, orig->records()[i].activities);
@@ -111,8 +109,7 @@ TEST_F(ColsnapTest, CuratedCorpusWithActivitiesRoundTrips) {
 }
 
 TEST_F(ColsnapTest, EncodeIsThreadCountIndependent) {
-  const auto db = synthetic_corpus_n(3000, 11);
-  const auto snap = db.snapshot();
+  const auto snap = synthetic_corpus_n(3000, 11).snapshot();
   runtime::ThreadPool::set_global_threads(1);
   const auto serial = encode_colsnap_shards(*snap, 5);
   runtime::ThreadPool::set_global_threads(4);
@@ -123,23 +120,23 @@ TEST_F(ColsnapTest, EncodeIsThreadCountIndependent) {
 }
 
 TEST_F(ColsnapTest, EmptyCorpusRoundTrips) {
-  const Database empty;
+  const CorpusSnapshot empty;
   const auto paths = write_colsnap_shards(empty, base("e"), 3);
   ASSERT_EQ(paths.size(), 3u);
-  const Database back = read_colsnap_shards(paths);
-  EXPECT_EQ(back.size(), 0u);
-  EXPECT_EQ(back.to_csv(), empty.to_csv());
+  const auto back = read_colsnap_shards(paths).snapshot();
+  EXPECT_EQ(back->size(), 0u);
+  EXPECT_EQ(back->to_csv(), empty.to_csv());
 }
 
 TEST_F(ColsnapTest, SingleShardRoundTrips) {
-  const auto db = synthetic_corpus_n(100, 3);
-  const auto paths = write_colsnap_shards(db, base("one"), 1);
-  EXPECT_EQ(read_colsnap_shards(paths).to_csv(), db.to_csv());
+  const auto snap = synthetic_corpus_n(100, 3).snapshot();
+  const auto paths = write_colsnap_shards(*snap, base("one"), 1);
+  EXPECT_EQ(read_colsnap_shards(paths).snapshot()->to_csv(), snap->to_csv());
 }
 
 TEST_F(ColsnapTest, BlockRefsListColumnsInOrder) {
-  const auto db = synthetic_corpus_n(50, 1);
-  const auto bodies = encode_colsnap_shards(*db.snapshot(), 1);
+  const auto bodies =
+      encode_colsnap_shards(*synthetic_corpus_n(50, 1).snapshot(), 1);
   const auto refs = colsnap_block_refs(bodies[0]);
   ASSERT_EQ(refs.size(), 11u);
   EXPECT_EQ(refs[0].name, "software_table");
@@ -154,15 +151,15 @@ class ColsnapCorruptionTest : public ColsnapTest {
  protected:
   /// Writes a 2-shard snapshot of a small corpus and returns its paths.
   std::vector<std::string> write_two_shards() {
-    const auto db = synthetic_corpus_n(200, 5);
-    return write_colsnap_shards(db, base("x"), 2);
+    return write_colsnap_shards(*synthetic_corpus_n(200, 5).snapshot(),
+                                base("x"), 2);
   }
 
   static void expect_refusal(const std::vector<std::string>& paths,
                              const std::string& needle) {
     try {
-      const Database db = read_colsnap_shards(paths);
-      FAIL() << "loader accepted a defective snapshot (" << db.size()
+      const auto snap = read_colsnap_shards(paths).snapshot();
+      FAIL() << "loader accepted a defective snapshot (" << snap->size()
              << " records); wanted error containing '" << needle << "'";
     } catch (const std::invalid_argument& ex) {
       EXPECT_NE(std::string(ex.what()).find(needle), std::string::npos)

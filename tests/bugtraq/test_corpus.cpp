@@ -19,13 +19,13 @@ TEST(CorpusPlan, StudiedTotalIsTwentyTwoPercent) {
 }
 
 TEST(Corpus, GeneratesExactlyTheDatabaseSize) {
-  const auto db = synthetic_corpus();
-  EXPECT_EQ(db.size(), kBugtraqSize2002);
+  const auto snap = synthetic_corpus().snapshot();
+  EXPECT_EQ(snap->size(), kBugtraqSize2002);
 }
 
 TEST(Corpus, CategoryCountsMatchThePlanExactly) {
-  const auto db = synthetic_corpus();
-  const auto counts = db.count_by_category();
+  const auto snap = synthetic_corpus().snapshot();
+  const auto counts = snap->count_by_category();
   const CorpusPlan plan;
   EXPECT_EQ(counts.at(Category::kInputValidationError), plan.input_validation);
   EXPECT_EQ(counts.at(Category::kBoundaryConditionError), plan.boundary_condition);
@@ -43,8 +43,8 @@ TEST(Corpus, CategoryCountsMatchThePlanExactly) {
 }
 
 TEST(Corpus, ClassCountsMatchThePlan) {
-  const auto db = synthetic_corpus();
-  const auto by_class = db.count_by_class();
+  const auto snap = synthetic_corpus().snapshot();
+  const auto by_class = snap->count_by_class();
   const CorpusPlan plan;
   EXPECT_EQ(by_class.at(VulnClass::kStackBufferOverflow), plan.stack_overflow);
   EXPECT_EQ(by_class.at(VulnClass::kHeapOverflow), plan.heap_overflow);
@@ -58,7 +58,7 @@ TEST(Corpus, ClassCountsMatchThePlan) {
 TEST(Corpus, IntegerOverflowSpreadsAcrossThreeCategoriesLikeTable1) {
   const auto db = synthetic_corpus();
   const auto in_cat = [&db](Category c) {
-    return db.count([c](const VulnRecord& r) {
+    return db.snapshot()->count([c](const VulnRecord& r) {
       return r.vuln_class == VulnClass::kIntegerOverflow && r.category == c;
     });
   };
@@ -68,26 +68,26 @@ TEST(Corpus, IntegerOverflowSpreadsAcrossThreeCategoriesLikeTable1) {
 }
 
 TEST(Corpus, DeterministicInSeed) {
-  const auto a = synthetic_corpus(123);
-  const auto b = synthetic_corpus(123);
-  const auto c = synthetic_corpus(456);
-  EXPECT_EQ(a.to_csv(), b.to_csv());
-  EXPECT_NE(a.to_csv(), c.to_csv());
+  const auto a = synthetic_corpus(123).snapshot();
+  const auto b = synthetic_corpus(123).snapshot();
+  const auto c = synthetic_corpus(456).snapshot();
+  EXPECT_EQ(a->to_csv(), b->to_csv());
+  EXPECT_NE(a->to_csv(), c->to_csv());
   // Different seeds still produce the same marginals.
-  EXPECT_EQ(c.count_by_category(), a.count_by_category());
+  EXPECT_EQ(c->count_by_category(), a->count_by_category());
 }
 
 TEST(Corpus, SyntheticIdsAreUniqueAndHigh) {
-  const auto db = synthetic_corpus();
-  for (const auto& r : db.records()) {
+  const auto snap = synthetic_corpus().snapshot();
+  for (const auto& r : snap->records()) {
     EXPECT_GE(r.id, 100000);  // never collides with curated real IDs
   }
   // Uniqueness is enforced by Database::add; reaching here proves it.
 }
 
 TEST(Corpus, YearsSpanTheStudyWindow) {
-  const auto db = synthetic_corpus();
-  for (const auto& r : db.records()) {
+  const auto snap = synthetic_corpus().snapshot();
+  for (const auto& r : snap->records()) {
     EXPECT_GE(r.year, 1999);
     EXPECT_LE(r.year, 2002);
   }

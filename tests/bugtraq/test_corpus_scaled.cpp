@@ -38,30 +38,30 @@ TEST(ScaledPlan, TotalsMatchEveryRequestedSize) {
 }
 
 TEST(ScaledCorpus, SnapshotSizeIsByteIdenticalToTheDefaultGenerator) {
-  EXPECT_EQ(synthetic_corpus_n(kBugtraqSize2002, 77).to_csv(),
-            synthetic_corpus(77).to_csv());
+  EXPECT_EQ(synthetic_corpus_n(kBugtraqSize2002, 77).snapshot()->to_csv(),
+            synthetic_corpus(77).snapshot()->to_csv());
 }
 
 TEST(ScaledCorpus, DeterministicInSeedAndSize) {
-  const auto a = synthetic_corpus_n(10000, 9);
-  const auto b = synthetic_corpus_n(10000, 9);
-  const auto c = synthetic_corpus_n(10000, 10);
-  EXPECT_EQ(a.to_csv(), b.to_csv());
-  EXPECT_NE(a.to_csv(), c.to_csv());
-  EXPECT_EQ(a.count_by_category(), c.count_by_category());
+  const auto a = synthetic_corpus_n(10000, 9).snapshot();
+  const auto b = synthetic_corpus_n(10000, 9).snapshot();
+  const auto c = synthetic_corpus_n(10000, 10).snapshot();
+  EXPECT_EQ(a->to_csv(), b->to_csv());
+  EXPECT_NE(a->to_csv(), c->to_csv());
+  EXPECT_EQ(a->count_by_category(), c->count_by_category());
 }
 
 TEST(ScaledCorpus, TinySizesGenerate) {
-  EXPECT_EQ(synthetic_corpus_n(0).size(), 0u);
-  EXPECT_EQ(synthetic_corpus_n(1).size(), 1u);
-  EXPECT_EQ(synthetic_corpus_n(37).size(), 37u);
+  EXPECT_EQ(synthetic_corpus_n(0).snapshot()->size(), 0u);
+  EXPECT_EQ(synthetic_corpus_n(1).snapshot()->size(), 1u);
+  EXPECT_EQ(synthetic_corpus_n(37).snapshot()->size(), 37u);
 }
 
 TEST(ScaledCorpus, GenerationIsThreadCountIndependent) {
   runtime::ThreadPool::set_global_threads(1);
-  const auto serial = synthetic_corpus_n(10000, 5).to_csv();
+  const auto serial = synthetic_corpus_n(10000, 5).snapshot()->to_csv();
   runtime::ThreadPool::set_global_threads(4);
-  const auto parallel = synthetic_corpus_n(10000, 5).to_csv();
+  const auto parallel = synthetic_corpus_n(10000, 5).snapshot()->to_csv();
   runtime::ThreadPool::set_global_threads(runtime::ThreadPool::default_threads());
   EXPECT_EQ(serial, parallel);
 }
@@ -70,11 +70,11 @@ TEST(ScaledCorpus, GenerationIsThreadCountIndependent) {
 // category share is within ±0.5 percentage points of the snapshot's.
 TEST(ScaledCorpus, MillionRecordHistogramMatchesFigure1Fractions) {
   constexpr std::size_t kMillion = 1'000'000;
-  const auto db = synthetic_corpus_n(kMillion, 42);
-  ASSERT_EQ(db.size(), kMillion);
-  const auto counts = db.count_by_category();
+  const auto snap = synthetic_corpus_n(kMillion, 42).snapshot();
+  ASSERT_EQ(snap->size(), kMillion);
+  const auto counts = snap->count_by_category();
   const auto reference = synthetic_corpus();  // the Figure-1 snapshot
-  const auto ref_counts = reference.count_by_category();
+  const auto ref_counts = reference.snapshot()->count_by_category();
   for (Category c : kAllCategories) {
     const double share =
         100.0 * static_cast<double>(counts.at(c)) / static_cast<double>(kMillion);
@@ -83,7 +83,7 @@ TEST(ScaledCorpus, MillionRecordHistogramMatchesFigure1Fractions) {
     EXPECT_NEAR(share, ref_share, 0.5) << to_string(c);
   }
   // The §1 coverage claim survives scaling too.
-  const auto share = studied_share(db);
+  const auto share = studied_share(*snap);
   EXPECT_NEAR(share.percent, 22.0, 0.5);
 }
 

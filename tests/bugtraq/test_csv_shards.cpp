@@ -54,14 +54,14 @@ TEST_F(CsvShardsTest, ShardPathNaming) {
 }
 
 TEST_F(CsvShardsTest, WriteReadWriteIsByteIdentical) {
-  const auto db = synthetic_corpus_n(2000, 7);
-  const auto first = write_csv_shards(db, base("a"), 4);
+  const auto snap = synthetic_corpus_n(2000, 7).snapshot();
+  const auto first = write_csv_shards(*snap, base("a"), 4);
   ASSERT_EQ(first.size(), 4u);
 
-  const auto restored = read_csv_shards(first);
-  EXPECT_EQ(restored.to_csv(), db.to_csv());
+  const auto restored = read_csv_shards(first).snapshot();
+  EXPECT_EQ(restored->to_csv(), snap->to_csv());
 
-  const auto second = write_csv_shards(restored, base("b"), 4);
+  const auto second = write_csv_shards(*restored, base("b"), 4);
   ASSERT_EQ(second.size(), first.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(slurp(first[i]), slurp(second[i])) << "shard " << i;
@@ -69,11 +69,11 @@ TEST_F(CsvShardsTest, WriteReadWriteIsByteIdentical) {
 }
 
 TEST_F(CsvShardsTest, ShardContentsAreThreadCountIndependent) {
-  const auto db = synthetic_corpus_n(3000, 3);
+  const auto snap = synthetic_corpus_n(3000, 3).snapshot();
   runtime::ThreadPool::set_global_threads(1);
-  const auto serial = write_csv_shards(db, base("serial"), 5);
+  const auto serial = write_csv_shards(*snap, base("serial"), 5);
   runtime::ThreadPool::set_global_threads(4);
-  const auto parallel = write_csv_shards(db, base("parallel"), 5);
+  const auto parallel = write_csv_shards(*snap, base("parallel"), 5);
   runtime::ThreadPool::set_global_threads(runtime::ThreadPool::default_threads());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(slurp(serial[i]), slurp(parallel[i])) << "shard " << i;
@@ -81,47 +81,47 @@ TEST_F(CsvShardsTest, ShardContentsAreThreadCountIndependent) {
 }
 
 TEST_F(CsvShardsTest, ParallelReadEqualsSerialReadAtHundredThousand) {
-  const auto db = synthetic_corpus_n(100'000, 42);
-  const auto paths = write_csv_shards(db, base("big"), 8);
-  const auto expected = db.to_csv();
+  const auto snap = synthetic_corpus_n(100'000, 42).snapshot();
+  const auto paths = write_csv_shards(*snap, base("big"), 8);
+  const auto expected = snap->to_csv();
 
   runtime::ThreadPool::set_global_threads(1);
-  const auto serial = read_csv_shards(paths);
+  const auto serial = read_csv_shards(paths).snapshot();
   runtime::ThreadPool::set_global_threads(4);
-  const auto parallel = read_csv_shards(paths);
+  const auto parallel = read_csv_shards(paths).snapshot();
   runtime::ThreadPool::set_global_threads(runtime::ThreadPool::default_threads());
 
-  EXPECT_EQ(serial.to_csv(), expected);
-  EXPECT_EQ(parallel.to_csv(), expected);
-  EXPECT_EQ(serial.count_by_category(), parallel.count_by_category());
+  EXPECT_EQ(serial->to_csv(), expected);
+  EXPECT_EQ(parallel->to_csv(), expected);
+  EXPECT_EQ(serial->count_by_category(), parallel->count_by_category());
 }
 
 TEST_F(CsvShardsTest, MoreShardsThanRecordsPadsWithHeaderOnlyFiles) {
-  const auto db = synthetic_corpus_n(3, 1);
-  const auto paths = write_csv_shards(db, base("tiny"), 8);
+  const auto snap = synthetic_corpus_n(3, 1).snapshot();
+  const auto paths = write_csv_shards(*snap, base("tiny"), 8);
   ASSERT_EQ(paths.size(), 8u);
   for (std::size_t i = 3; i < 8; ++i) {
     const auto text = slurp(paths[i]);
     EXPECT_EQ(text.find('\n'), text.size() - 1) << "shard " << i
         << " should be header-only";
   }
-  EXPECT_EQ(read_csv_shards(paths).to_csv(), db.to_csv());
+  EXPECT_EQ(read_csv_shards(paths).snapshot()->to_csv(), snap->to_csv());
 }
 
 TEST_F(CsvShardsTest, EmptyDatabaseRoundTrips) {
-  const Database empty;
+  const CorpusSnapshot empty;
   const auto paths = write_csv_shards(empty, base("empty"), 3);
   ASSERT_EQ(paths.size(), 3u);
-  const auto restored = read_csv_shards(paths);
-  EXPECT_EQ(restored.size(), 0u);
-  EXPECT_EQ(restored.to_csv(), empty.to_csv());
+  const auto restored = read_csv_shards(paths).snapshot();
+  EXPECT_EQ(restored->size(), 0u);
+  EXPECT_EQ(restored->to_csv(), empty.to_csv());
 }
 
 TEST_F(CsvShardsTest, ZeroShardCountMeansOne) {
-  const auto db = synthetic_corpus_n(10, 2);
-  const auto paths = write_csv_shards(db, base("one"), 0);
+  const auto snap = synthetic_corpus_n(10, 2).snapshot();
+  const auto paths = write_csv_shards(*snap, base("one"), 0);
   ASSERT_EQ(paths.size(), 1u);
-  EXPECT_EQ(read_csv_shards(paths).to_csv(), db.to_csv());
+  EXPECT_EQ(read_csv_shards(paths).snapshot()->to_csv(), snap->to_csv());
 }
 
 TEST_F(CsvShardsTest, MissingShardFileThrows) {
@@ -137,8 +137,8 @@ TEST_F(CsvShardsTest, MalformedShardThrows) {
 // --- strict error context (DESIGN.md §9) --------------------------------
 
 TEST_F(CsvShardsTest, ParseErrorCarriesShardPathAndLine) {
-  const auto db = synthetic_corpus_n(4, 9);
-  auto csv = db.to_csv();
+  const auto snap = synthetic_corpus_n(4, 9).snapshot();
+  auto csv = snap->to_csv();
   // Corrupt the id of the SECOND data row — line 3 of the shard (header
   // is line 1) — and demand the exact "<path>:<line>: <reason>" message.
   std::size_t pos = csv.find('\n');            // end of header
@@ -157,8 +157,8 @@ TEST_F(CsvShardsTest, ParseErrorCarriesShardPathAndLine) {
 }
 
 TEST_F(CsvShardsTest, FieldCountErrorCarriesShardPathAndLine) {
-  const auto db = synthetic_corpus_n(2, 9);
-  const auto csv = db.to_csv();
+  const auto snap = synthetic_corpus_n(2, 9).snapshot();
+  const auto csv = snap->to_csv();
   const auto path = base("short") + ".csv";
   std::ofstream{path, std::ios::binary}
       << csv.substr(0, csv.find('\n') + 1) << "only,three,fields\n";
@@ -174,8 +174,8 @@ TEST_F(CsvShardsTest, FieldCountErrorCarriesShardPathAndLine) {
 // --- CSV edge cases ------------------------------------------------------
 
 TEST_F(CsvShardsTest, CrlfLineEndingsParse) {
-  const auto db = synthetic_corpus_n(50, 5);
-  auto csv = db.to_csv();
+  const auto snap = synthetic_corpus_n(50, 5).snapshot();
+  auto csv = snap->to_csv();
   std::string crlf;
   for (char c : csv) {
     if (c == '\n') crlf += '\r';
@@ -183,46 +183,46 @@ TEST_F(CsvShardsTest, CrlfLineEndingsParse) {
   }
   const auto path = base("crlf") + ".csv";
   std::ofstream{path, std::ios::binary} << crlf;
-  EXPECT_EQ(read_csv_shards({path}).to_csv(), csv);
+  EXPECT_EQ(read_csv_shards({path}).snapshot()->to_csv(), csv);
 }
 
 TEST_F(CsvShardsTest, MissingTrailingNewlineParses) {
-  const auto db = synthetic_corpus_n(20, 5);
-  auto csv = db.to_csv();
+  const auto snap = synthetic_corpus_n(20, 5).snapshot();
+  auto csv = snap->to_csv();
   ASSERT_EQ(csv.back(), '\n');
   const auto path = base("torn") + ".csv";
   std::ofstream{path, std::ios::binary} << csv.substr(0, csv.size() - 1);
-  EXPECT_EQ(read_csv_shards({path}).to_csv(), csv);
+  EXPECT_EQ(read_csv_shards({path}).snapshot()->to_csv(), csv);
 }
 
 TEST_F(CsvShardsTest, Utf8BomIsSkipped) {
-  const auto db = synthetic_corpus_n(20, 5);
-  const auto csv = db.to_csv();
+  const auto snap = synthetic_corpus_n(20, 5).snapshot();
+  const auto csv = snap->to_csv();
   const auto path = base("bom") + ".csv";
   std::ofstream{path, std::ios::binary} << "\xEF\xBB\xBF" << csv;
-  EXPECT_EQ(read_csv_shards({path}).to_csv(), csv);
+  EXPECT_EQ(read_csv_shards({path}).snapshot()->to_csv(), csv);
 }
 
 TEST_F(CsvShardsTest, HeaderOnlyShardFollowedByPopulatedShard) {
-  const auto db = synthetic_corpus_n(30, 5);
-  const auto csv = db.to_csv();
+  const auto snap = synthetic_corpus_n(30, 5).snapshot();
+  const auto csv = snap->to_csv();
   const auto empty_path = base("h0") + ".csv";
   const auto full_path = base("h1") + ".csv";
   std::ofstream{empty_path, std::ios::binary} << csv.substr(0, csv.find('\n') + 1);
   std::ofstream{full_path, std::ios::binary} << csv;
-  EXPECT_EQ(read_csv_shards({empty_path, full_path}).to_csv(), csv);
+  EXPECT_EQ(read_csv_shards({empty_path, full_path}).snapshot()->to_csv(), csv);
 }
 
 TEST_F(CsvShardsTest, EmptyPathsVectorYieldsEmptyDatabase) {
-  const auto db = read_csv_shards(std::vector<std::string>{});
-  EXPECT_EQ(db.size(), 0u);
+  const auto snap = read_csv_shards(std::vector<std::string>{}).snapshot();
+  EXPECT_EQ(snap->size(), 0u);
 }
 
 // --- policy-aware reader (IngestOptions) ---------------------------------
 
 TEST_F(CsvShardsTest, LenientQuarantinesBadRowAndKeepsRest) {
-  const auto db = synthetic_corpus_n(40, 5);
-  const auto paths = write_csv_shards(db, base("len"), 2);
+  const auto snap = synthetic_corpus_n(40, 5).snapshot();
+  const auto paths = write_csv_shards(*snap, base("len"), 2);
   auto text = slurp(paths[0]);
   const std::size_t row_begin = text.find('\n') + 1;
   text.insert(row_begin, 1, 'x');  // first data row's id goes bad
@@ -232,7 +232,7 @@ TEST_F(CsvShardsTest, LenientQuarantinesBadRowAndKeepsRest) {
   IngestOptions options;
   options.policy = IngestPolicy::kLenient;
   const auto result = read_csv_shards(paths, options);
-  EXPECT_EQ(result.db.size(), 39u);
+  EXPECT_EQ(result.db.snapshot()->size(), 39u);
   EXPECT_EQ(result.report.ingested, 39u);
   ASSERT_EQ(result.report.rows.size(), 1u);
   const auto& row = result.report.rows[0];
@@ -244,8 +244,8 @@ TEST_F(CsvShardsTest, LenientQuarantinesBadRowAndKeepsRest) {
 }
 
 TEST_F(CsvShardsTest, LenientQuarantinesBadHeaderShardWhole) {
-  const auto db = synthetic_corpus_n(40, 5);
-  const auto paths = write_csv_shards(db, base("hdr"), 2);
+  const auto snap = synthetic_corpus_n(40, 5).snapshot();
+  const auto paths = write_csv_shards(*snap, base("hdr"), 2);
   const auto original = slurp(paths[1]);
   const std::size_t shard1_rows = [&] {
     std::size_t n = 0;
@@ -258,7 +258,7 @@ TEST_F(CsvShardsTest, LenientQuarantinesBadHeaderShardWhole) {
   IngestOptions options;
   options.policy = IngestPolicy::kLenient;
   const auto result = read_csv_shards(paths, options);
-  EXPECT_EQ(result.db.size(), 40u - shard1_rows);
+  EXPECT_EQ(result.db.snapshot()->size(), 40u - shard1_rows);
   ASSERT_EQ(result.report.shards.size(), 1u);
   EXPECT_EQ(result.report.shards[0].shard, paths[1]);
   EXPECT_EQ(result.report.shards[0].reason, "bad CSV header");
@@ -266,8 +266,8 @@ TEST_F(CsvShardsTest, LenientQuarantinesBadHeaderShardWhole) {
 }
 
 TEST_F(CsvShardsTest, TransientFaultRecoversAndCountsRetries) {
-  const auto db = synthetic_corpus_n(30, 5);
-  const auto paths = write_csv_shards(db, base("transient"), 2);
+  const auto snap = synthetic_corpus_n(30, 5).snapshot();
+  const auto paths = write_csv_shards(*snap, base("transient"), 2);
   IngestOptions options;
   options.policy = IngestPolicy::kLenient;
   options.max_attempts = 3;
@@ -275,14 +275,14 @@ TEST_F(CsvShardsTest, TransientFaultRecoversAndCountsRetries) {
     return path == paths[0] && attempt <= 2;
   };
   const auto result = read_csv_shards(paths, options);
-  EXPECT_EQ(result.db.to_csv(), db.to_csv());
+  EXPECT_EQ(result.db.snapshot()->to_csv(), snap->to_csv());
   EXPECT_TRUE(result.report.clean());
   EXPECT_EQ(result.report.retries, 2u);
 }
 
 TEST_F(CsvShardsTest, LenientQuarantinesUnreadableShardAfterRetries) {
-  const auto db = synthetic_corpus_n(30, 5);
-  const auto paths = write_csv_shards(db, base("unread"), 2);
+  const auto snap = synthetic_corpus_n(30, 5).snapshot();
+  const auto paths = write_csv_shards(*snap, base("unread"), 2);
   const std::size_t shard1_rows = [&] {
     const auto text = slurp(paths[1]);
     std::size_t n = 0;
@@ -296,7 +296,7 @@ TEST_F(CsvShardsTest, LenientQuarantinesUnreadableShardAfterRetries) {
     return path == paths[1];
   };
   const auto result = read_csv_shards(paths, options);
-  EXPECT_EQ(result.db.size(), 30u - shard1_rows);
+  EXPECT_EQ(result.db.snapshot()->size(), 30u - shard1_rows);
   ASSERT_EQ(result.report.shards.size(), 1u);
   EXPECT_EQ(result.report.shards[0].shard, paths[1]);
   EXPECT_EQ(result.report.shards[0].attempts, 3u);
@@ -307,8 +307,8 @@ TEST_F(CsvShardsTest, LenientQuarantinesUnreadableShardAfterRetries) {
 }
 
 TEST_F(CsvShardsTest, StrictUnreadableThrowsWithAttemptCount) {
-  const auto db = synthetic_corpus_n(10, 5);
-  const auto paths = write_csv_shards(db, base("strictio"), 1);
+  const auto snap = synthetic_corpus_n(10, 5).snapshot();
+  const auto paths = write_csv_shards(*snap, base("strictio"), 1);
   IngestOptions options;
   options.max_attempts = 3;
   options.fault_hook = [](const std::string&, std::size_t) { return true; };
@@ -323,18 +323,18 @@ TEST_F(CsvShardsTest, StrictUnreadableThrowsWithAttemptCount) {
 }
 
 TEST_F(CsvShardsTest, PolicyReaderMatchesLegacyOnCleanInput) {
-  const auto db = synthetic_corpus_n(500, 5);
-  const auto paths = write_csv_shards(db, base("clean"), 3);
+  const auto snap = synthetic_corpus_n(500, 5).snapshot();
+  const auto paths = write_csv_shards(*snap, base("clean"), 3);
   const auto legacy = read_csv_shards(paths);
   const auto strict = read_csv_shards(paths, IngestOptions{});
-  EXPECT_EQ(strict.db.to_csv(), legacy.to_csv());
+  EXPECT_EQ(strict.db.snapshot()->to_csv(), legacy.snapshot()->to_csv());
   EXPECT_TRUE(strict.report.clean());
   EXPECT_EQ(strict.report.ingested, 500u);
 }
 
 TEST_F(CsvShardsTest, LenientReportIsThreadCountIndependent) {
-  const auto db = synthetic_corpus_n(300, 5);
-  const auto paths = write_csv_shards(db, base("det"), 3);
+  const auto snap = synthetic_corpus_n(300, 5).snapshot();
+  const auto paths = write_csv_shards(*snap, base("det"), 3);
   auto text = slurp(paths[1]);
   text.insert(text.find('\n') + 1, 1, 'x');
   std::ofstream{paths[1], std::ios::binary | std::ios::trunc} << text;
@@ -347,7 +347,7 @@ TEST_F(CsvShardsTest, LenientReportIsThreadCountIndependent) {
   const auto parallel = read_csv_shards(paths, options);
   runtime::ThreadPool::set_global_threads(runtime::ThreadPool::default_threads());
 
-  EXPECT_EQ(serial.db.to_csv(), parallel.db.to_csv());
+  EXPECT_EQ(serial.db.snapshot()->to_csv(), parallel.db.snapshot()->to_csv());
   ASSERT_EQ(serial.report.rows.size(), 1u);
   ASSERT_EQ(parallel.report.rows.size(), 1u);
   EXPECT_EQ(serial.report.rows[0].shard, parallel.report.rows[0].shard);

@@ -25,10 +25,23 @@ VulnRecord sample(int id) {
 TEST(Database, AddAndLookupById) {
   Database db;
   db.add(sample(42));
-  EXPECT_EQ(db.size(), 1u);
-  ASSERT_NE(db.by_id(42), nullptr);
+  EXPECT_EQ(db.snapshot()->size(), 1u);
+  ASSERT_TRUE(db.by_id(42).has_value());
   EXPECT_EQ(db.by_id(42)->software, "testd");
-  EXPECT_EQ(db.by_id(99), nullptr);
+  EXPECT_FALSE(db.by_id(99).has_value());
+}
+
+TEST(Database, ByIdResultSurvivesArenaGrowth) {
+  // A lookup result must own its bytes: growing the column arena
+  // publishes a new epoch and frees the arena the lookup was served from.
+  Database db;
+  db.add(sample(42));
+  auto hit = db.by_id(42);
+  std::vector<VulnRecord> more;
+  for (int id = 1000; id < 1300; ++id) more.push_back(sample(id));
+  db.add_batch(std::move(more));
+  ASSERT_TRUE(hit);
+  EXPECT_EQ(hit->title, "Sample, with comma and \"quotes\"");
 }
 
 TEST(Database, DuplicateNonZeroIdRejected) {
@@ -42,7 +55,7 @@ TEST(Database, MultipleZeroIdsAllowed) {
   Database db;
   db.add(sample(0));
   db.add(sample(0));
-  EXPECT_EQ(db.size(), 2u);
+  EXPECT_EQ(db.snapshot()->size(), 2u);
 }
 
 TEST(Database, QueryAndCount) {
@@ -53,8 +66,9 @@ TEST(Database, QueryAndCount) {
   b.remote = false;
   db.add(a);
   db.add(b);
-  EXPECT_EQ(db.count([](const VulnRecord& r) { return r.remote; }), 1u);
-  const auto hits = db.query([](const VulnRecord& r) { return !r.remote; });
+  const auto snap = db.snapshot();
+  EXPECT_EQ(snap->count([](const VulnRecord& r) { return r.remote; }), 1u);
+  const auto hits = snap->query([](const VulnRecord& r) { return !r.remote; });
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0]->id, 2);
 }
@@ -62,7 +76,7 @@ TEST(Database, QueryAndCount) {
 TEST(Database, CountByCategoryIncludesEmptyCategories) {
   Database db;
   db.add(sample(1));
-  const auto counts = db.count_by_category();
+  const auto counts = db.snapshot()->count_by_category();
   EXPECT_EQ(counts.size(), kCategoryCount);
   EXPECT_EQ(counts.at(Category::kBoundaryConditionError), 1u);
   EXPECT_EQ(counts.at(Category::kAtomicityError), 0u);
@@ -76,10 +90,10 @@ TEST(Database, CsvRoundTripPreservesEverything) {
   r2.reference_activity = -1;
   db.add(r2);
 
-  const auto restored = Database::from_csv(db.to_csv());
-  ASSERT_EQ(restored.size(), 2u);
-  const VulnRecord* r = restored.by_id(7);
-  ASSERT_NE(r, nullptr);
+  const auto restored = Database::from_csv_parts({db.snapshot()->to_csv()});
+  ASSERT_EQ(restored.snapshot()->size(), 2u);
+  const auto r = restored.by_id(7);
+  ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->title, "Sample, with comma and \"quotes\"");
   EXPECT_EQ(r->category, Category::kBoundaryConditionError);
   EXPECT_EQ(r->vuln_class, VulnClass::kStackBufferOverflow);
@@ -91,7 +105,8 @@ TEST(Database, CsvRoundTripPreservesEverything) {
 }
 
 TEST(Database, FromCsvRejectsGarbage) {
-  EXPECT_THROW((void)Database::from_csv("not a header\n"), std::invalid_argument);
+  EXPECT_THROW((void)Database::from_csv_parts({"not a header\n"}),
+               std::invalid_argument);
 }
 
 // Property: CSV round-trip is the identity for arbitrary (seeded) record
@@ -138,11 +153,12 @@ TEST_P(CsvFuzz, RoundTripIsIdentity) {
     db.add(std::move(r));
   }
 
-  const auto restored = Database::from_csv(db.to_csv());
-  ASSERT_EQ(restored.size(), db.size());
-  for (std::size_t i = 0; i < db.size(); ++i) {
-    const auto& a = db.records()[i];
-    const auto& b = restored.records()[i];
+  const auto snap = db.snapshot();
+  const auto restored = Database::from_csv_parts({snap->to_csv()}).snapshot();
+  ASSERT_EQ(restored->size(), snap->size());
+  for (std::size_t i = 0; i < snap->size(); ++i) {
+    const auto& a = snap->records()[i];
+    const auto& b = restored->records()[i];
     EXPECT_EQ(a.id, b.id);
     EXPECT_EQ(a.title, b.title);
     EXPECT_EQ(a.software, b.software);
@@ -164,8 +180,8 @@ TEST(Database, MergeCombinesRecords) {
   Database b;
   b.add(sample(2));
   a.merge(b);
-  EXPECT_EQ(a.size(), 2u);
-  EXPECT_NE(a.by_id(2), nullptr);
+  EXPECT_EQ(a.snapshot()->size(), 2u);
+  EXPECT_TRUE(a.by_id(2).has_value());
 }
 
 // --- Curated paper records ----------------------------------------------
@@ -174,15 +190,15 @@ TEST(Curated, ContainsEveryPaperCitedBugtraqId) {
   const auto db = curated_records();
   for (int id : {3163, 5493, 3958, 6157, 5960, 4479, 1387, 2210, 2264, 1480,
                  5774, 6255, 2708}) {
-    EXPECT_NE(db.by_id(id), nullptr) << "missing #" << id;
+    EXPECT_TRUE(db.by_id(id).has_value()) << "missing #" << id;
   }
-  EXPECT_GE(db.size(), 15u);  // plus the two id-0 advisories
+  EXPECT_GE(db.snapshot()->size(), 15u);  // plus the two id-0 advisories
 }
 
 TEST(Curated, RecordsSurviveCsvRoundTrip) {
-  const auto db = curated_records();
-  const auto restored = Database::from_csv(db.to_csv());
-  EXPECT_EQ(restored.size(), db.size());
+  const auto snap = curated_records().snapshot();
+  const auto restored = Database::from_csv_parts({snap->to_csv()});
+  EXPECT_EQ(restored.snapshot()->size(), snap->size());
   EXPECT_EQ(restored.by_id(3163)->category, Category::kInputValidationError);
 }
 
@@ -204,8 +220,8 @@ TEST(Curated, Table1RecordsAreTheThreeIntegerOverflows) {
 
 TEST(Curated, DiscoveredVulnerabilityIsRecorded) {
   const auto db = curated_records();
-  const VulnRecord* r = db.by_id(6255);
-  ASSERT_NE(r, nullptr);
+  const auto r = db.by_id(6255);
+  ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->software, "Null HTTPD");
   EXPECT_NE(r->description.find("'||'"), std::string::npos);
 }

@@ -32,7 +32,7 @@ using runtime::ThreadPool;
 
 /// The corpus records as an owning vector (snapshots hand out spans).
 std::vector<VulnRecord> materialize(const Database& db) {
-  const auto recs = db.records();
+  const auto recs = db.snapshot()->records();
   return {recs.begin(), recs.end()};
 }
 
@@ -102,7 +102,7 @@ TEST(SnapshotIsolation, FailedStrictBatchPublishesNothing) {
   VulnRecord fresh = materialize(db)[0];
   fresh.id = 2'000'000;
   db.add(fresh);
-  EXPECT_EQ(db.size(), 51u);
+  EXPECT_EQ(db.snapshot()->size(), 51u);
   EXPECT_EQ(rebuild_histograms(*db.snapshot()), db.snapshot()->histograms());
 }
 
@@ -134,8 +134,8 @@ TEST(SnapshotIsolation, CopySharesTheEpochThenCopiesOnWrite) {
   VulnRecord fresh = materialize(a)[0];
   fresh.id = 1'000'000;
   b.add(fresh);
-  EXPECT_EQ(b.size(), 101u);
-  EXPECT_EQ(a.size(), 100u);  // source untouched by the copy's write
+  EXPECT_EQ(b.snapshot()->size(), 101u);
+  EXPECT_EQ(a.snapshot()->size(), 100u);  // source untouched by the write
   EXPECT_NE(b.snapshot().get(), a.snapshot().get());
   EXPECT_EQ(rebuild_histograms(*b.snapshot()), b.snapshot()->histograms());
 }
@@ -147,7 +147,7 @@ TEST(SnapshotIsolation, ReservePublishesNothingAndKeepsReadersValid) {
   db.reserve(10'000);
   EXPECT_EQ(db.epoch(), before->epoch());
   EXPECT_EQ(before->to_csv(), csv);  // pinned spans survived the growth
-  EXPECT_EQ(db.to_csv(), csv);
+  EXPECT_EQ(db.snapshot()->to_csv(), csv);
 }
 
 // --- incremental == rebuild equivalence --------------------------------
@@ -187,10 +187,11 @@ void feed_and_check(std::size_t n, unsigned seed, std::size_t checks) {
   EXPECT_EQ(snap->epoch(), published);
   EXPECT_EQ(snap->size(), n);
   EXPECT_EQ(snap->histograms(), rebuild_histograms(*snap));
-  EXPECT_EQ(db.count_by_category(), source.count_by_category());
-  EXPECT_EQ(db.count_by_class(), source.count_by_class());
-  EXPECT_EQ(db.count_by_year(), source.count_by_year());
-  EXPECT_EQ(db.count_by_software(), source.count_by_software());
+  const auto want = source.snapshot();
+  EXPECT_EQ(snap->count_by_category(), want->count_by_category());
+  EXPECT_EQ(snap->count_by_class(), want->count_by_class());
+  EXPECT_EQ(snap->count_by_year(), want->count_by_year());
+  EXPECT_EQ(snap->count_by_software(), want->count_by_software());
 }
 
 TEST(IncrementalHistograms, EqualRebuildAtTenThousand) {
@@ -230,7 +231,7 @@ TEST_P(SnapshotThreads, IncrementalFoldIsThreadCountIndependent) {
   // pool size in one batch.
   EXPECT_EQ(snap->histograms(), rebuilt);
   EXPECT_EQ(snap->histograms(), rebuild_histograms(*source.snapshot()));
-  EXPECT_EQ(db.to_csv(), source.to_csv());
+  EXPECT_EQ(db.snapshot()->to_csv(), source.snapshot()->to_csv());
 }
 
 INSTANTIATE_TEST_SUITE_P(PoolSizes, SnapshotThreads,
@@ -298,9 +299,9 @@ TEST(SnapshotIsolation, ConcurrentReadersSeeOnlyConsistentEpochs) {
   for (auto& r : readers) r.join();
 
   EXPECT_EQ(violations.load(), 0u);
-  EXPECT_EQ(db.size(), kTotal);
+  EXPECT_EQ(db.snapshot()->size(), kTotal);
   EXPECT_EQ(db.epoch(), kTotal / kBatch);
-  EXPECT_EQ(db.to_csv(), source.to_csv());
+  EXPECT_EQ(db.snapshot()->to_csv(), source.snapshot()->to_csv());
   EXPECT_EQ(rebuild_histograms(*db.snapshot()), db.snapshot()->histograms());
 }
 

@@ -9,23 +9,23 @@ namespace {
 
 class StatsTest : public ::testing::Test {
  protected:
-  StatsTest() : db(synthetic_corpus()) {}
-  Database db;
+  StatsTest() : snap(synthetic_corpus().snapshot()) {}
+  CorpusSnapshotPtr snap;
 };
 
 TEST_F(StatsTest, BreakdownIsSortedDescendingAndComplete) {
-  const auto shares = category_breakdown(db);
+  const auto shares = category_breakdown(*snap);
   ASSERT_EQ(shares.size(), kCategoryCount);
   for (std::size_t i = 1; i < shares.size(); ++i) {
     EXPECT_GE(shares[i - 1].count, shares[i].count);
   }
   std::size_t total = 0;
   for (const auto& s : shares) total += s.count;
-  EXPECT_EQ(total, db.size());
+  EXPECT_EQ(total, snap->size());
 }
 
 TEST_F(StatsTest, RoundedPercentagesMatchFigure1) {
-  const auto shares = category_breakdown(db);
+  const auto shares = category_breakdown(*snap);
   const auto rounded = [&shares](Category c) {
     for (const auto& s : shares) {
       if (s.category == c) return s.rounded_percent;
@@ -49,14 +49,14 @@ TEST_F(StatsTest, RoundedPercentagesMatchFigure1) {
 
 TEST_F(StatsTest, TopFiveCategoriesDominate) {
   // §3.1: "the pie-chart is dominated by five categories" (83%).
-  const auto shares = category_breakdown(db);
+  const auto shares = category_breakdown(*snap);
   double top5 = 0;
   for (std::size_t i = 0; i < 5; ++i) top5 += shares[i].percent;
   EXPECT_GT(top5, 80.0);
 }
 
 TEST_F(StatsTest, StudiedShareIsTwentyTwoPercent) {
-  const auto s = studied_share(db);
+  const auto s = studied_share(*snap);
   EXPECT_EQ(s.total, kBugtraqSize2002);
   EXPECT_NEAR(s.percent, 22.0, 0.05);
   EXPECT_EQ(s.classes.size(), 5u);
@@ -66,21 +66,21 @@ TEST_F(StatsTest, StudiedShareIsTwentyTwoPercent) {
 }
 
 TEST_F(StatsTest, StudiedShareOnEmptyDatabase) {
-  Database empty;
+  const CorpusSnapshot empty;
   const auto s = studied_share(empty);
   EXPECT_EQ(s.percent, 0.0);
   EXPECT_EQ(s.studied_count, 0u);
 }
 
 TEST_F(StatsTest, RemoteLocalSplitCoversEverything) {
-  const auto split = remote_local_split(db);
-  EXPECT_EQ(split.remote + split.local, db.size());
+  const auto split = remote_local_split(*snap);
+  EXPECT_EQ(split.remote + split.local, snap->size());
   EXPECT_GT(split.remote, 0u);
   EXPECT_GT(split.local, 0u);
 }
 
 TEST_F(StatsTest, ByYearCoversTheStudyWindowAndSumsToTotal) {
-  const auto years = by_year(db);
+  const auto years = by_year(*snap);
   ASSERT_FALSE(years.empty());
   std::size_t sum = 0;
   int last = 0;
@@ -91,28 +91,28 @@ TEST_F(StatsTest, ByYearCoversTheStudyWindowAndSumsToTotal) {
     last = y.year;
     sum += y.count;
   }
-  EXPECT_EQ(sum, db.size());
+  EXPECT_EQ(sum, snap->size());
 }
 
 TEST_F(StatsTest, TopSoftwareIsSortedAndBounded) {
-  const auto top = top_software(db, 5);
+  const auto top = top_software(*snap, 5);
   ASSERT_EQ(top.size(), 5u);
   for (std::size_t i = 1; i < top.size(); ++i) {
     EXPECT_GE(top[i - 1].count, top[i].count);
   }
   EXPECT_GT(top[0].count, 0u);
   // Asking for more than exists returns everything.
-  EXPECT_LE(top_software(db, 1000).size(), 16u);  // 16 synthetic packages
+  EXPECT_LE(top_software(*snap, 1000).size(), 16u);  // 16 synthetic packages
 }
 
 TEST_F(StatsTest, TopSoftwareOfEmptyDatabase) {
-  Database empty;
+  const CorpusSnapshot empty;
   EXPECT_TRUE(top_software(empty, 3).empty());
   EXPECT_TRUE(by_year(empty).empty());
 }
 
 TEST_F(StatsTest, RenderFigure1ContainsEveryCategoryAndTheTotal) {
-  const std::string fig = render_figure1(db);
+  const std::string fig = render_figure1(*snap);
   for (Category c : kAllCategories) {
     EXPECT_NE(fig.find(to_string(c)), std::string::npos) << to_string(c);
   }

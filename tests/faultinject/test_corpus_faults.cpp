@@ -23,13 +23,13 @@ using bugtraq::IngestReport;
 
 ShardSet make_set(std::size_t records, std::size_t shards,
                   std::uint64_t seed) {
-  const Database db = bugtraq::synthetic_corpus_n(records, seed);
+  const auto snap = bugtraq::synthetic_corpus_n(records, seed).snapshot();
   auto blocks = runtime::static_blocks(records, shards);
   while (blocks.size() < shards) blocks.push_back({records, records});
   ShardSet set;
   for (std::size_t i = 0; i < shards; ++i) {
     set.paths.push_back("shard-" + std::to_string(i) + ".csv");
-    set.contents.push_back(db.to_csv(blocks[i].begin, blocks[i].end));
+    set.contents.push_back(snap->to_csv(blocks[i].begin, blocks[i].end));
     set.data_rows.push_back(blocks[i].end - blocks[i].begin);
   }
   return set;
@@ -89,9 +89,9 @@ TEST(CorpusFaults, BenignFaultsKeepStrictParsingAlive) {
     Rng rng{9, 1};
     const auto mut = apply_corpus_fault(fault, set, rng);
     EXPECT_FALSE(mut.expect_strict_throw) << to_string(fault);
-    const auto db = Database::from_csv_parts(set.contents, set.paths,
-                                             IngestPolicy::kStrict);
-    EXPECT_EQ(db.size(), set.total_rows()) << to_string(fault);
+    const auto snap = Database::from_csv_parts(set.contents, set.paths,
+                                             IngestPolicy::kStrict).snapshot();
+    EXPECT_EQ(snap->size(), set.total_rows()) << to_string(fault);
   }
 }
 
@@ -109,11 +109,12 @@ TEST(CorpusFaults, ZeroSilentLossThroughLenientIngest) {
       Rng rng{3, stream};
       const auto mut = apply_corpus_fault(fault, set, rng);
       IngestReport report;
-      const auto db = Database::from_csv_parts(
-          set.contents, set.paths, IngestPolicy::kLenient, &report);
+      const auto snap = Database::from_csv_parts(set.contents, set.paths,
+                                                 IngestPolicy::kLenient, &report)
+                            .snapshot();
       const long long expected =
           static_cast<long long>(generated) + mut.injected_lines;
-      long long actual = static_cast<long long>(db.size()) +
+      long long actual = static_cast<long long>(snap->size()) +
                          static_cast<long long>(report.quarantined_lines());
       for (const auto& shard : report.shards) {
         actual += static_cast<long long>(shard.lines_seen);
@@ -129,12 +130,13 @@ TEST(CorpusFaults, MissingHeaderQuarantinesTheWholeShard) {
   Rng rng{4, 0};
   const auto mut = apply_corpus_fault(CorpusFault::kMissingHeader, set, rng);
   IngestReport report;
-  const auto db = Database::from_csv_parts(set.contents, set.paths,
-                                           IngestPolicy::kLenient, &report);
+  const auto snap = Database::from_csv_parts(set.contents, set.paths,
+                                             IngestPolicy::kLenient, &report)
+                        .snapshot();
   ASSERT_EQ(report.shards.size(), 1u);
   EXPECT_EQ(report.shards[0].shard, mut.shard);
   EXPECT_EQ(report.shards[0].reason, "bad CSV header");
-  EXPECT_EQ(db.size() + report.shards[0].lines_seen, 50u);
+  EXPECT_EQ(snap->size() + report.shards[0].lines_seen, 50u);
 }
 
 TEST(CorpusFaults, DuplicateThenMissingHeaderStillBreaksStrictIngest) {
@@ -148,7 +150,7 @@ TEST(CorpusFaults, DuplicateThenMissingHeaderStillBreaksStrictIngest) {
   try {
     const auto db = Database::from_csv_parts(set.contents, set.paths,
                                              IngestPolicy::kStrict);
-    ADD_FAILURE() << "strict accepted " << db.size() << " rows";
+    ADD_FAILURE() << "strict accepted " << db.snapshot()->size() << " rows";
   } catch (const std::invalid_argument&) {
   }
   // The conservation identity still holds: the duplicate line the
@@ -156,13 +158,13 @@ TEST(CorpusFaults, DuplicateThenMissingHeaderStillBreaksStrictIngest) {
   IngestReport report;
   const auto db = Database::from_csv_parts(set.contents, set.paths,
                                            IngestPolicy::kLenient, &report);
-  long long accounted = static_cast<long long>(db.size()) +
+  long long accounted = static_cast<long long>(db.snapshot()->size()) +
                         static_cast<long long>(report.quarantined_lines());
   for (const auto& shard : report.shards) {
     accounted += static_cast<long long>(shard.lines_seen);
   }
   EXPECT_EQ(10 + dup.injected_lines + miss.injected_lines, accounted);
-  EXPECT_EQ(db.size(), 0u);
+  EXPECT_EQ(db.snapshot()->size(), 0u);
 }
 
 TEST(CorpusFaults, DropShardRemovesExactlyOneShard) {

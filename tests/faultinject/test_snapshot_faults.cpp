@@ -28,7 +28,7 @@ SnapshotSet make_set(std::size_t records, std::size_t shards,
 void expect_refused_with(const SnapshotSet& set, const std::string& needle) {
   try {
     const auto db = bugtraq::decode_colsnap_shards(set.contents, set.names);
-    FAIL() << "loader accepted a mutated snapshot (" << db.size()
+    FAIL() << "loader accepted a mutated snapshot (" << db.snapshot()->size()
            << " records); wanted '" << needle << "'";
   } catch (const std::invalid_argument& ex) {
     EXPECT_NE(std::string(ex.what()).find(needle), std::string::npos)
@@ -63,7 +63,7 @@ TEST_P(SnapshotFaultCase, LoaderRefusesWithFileColumnReason) {
 
     // Conservation: the untouched bytes still decode to all 150 records.
     const auto clean = bugtraq::decode_colsnap_shards(pristine, set.names);
-    EXPECT_EQ(clean.size(), 150u);
+    EXPECT_EQ(clean.snapshot()->size(), 150u);
   }
 }
 

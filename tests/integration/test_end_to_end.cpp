@@ -115,8 +115,8 @@ TEST(EndToEnd, DiscoveredVulnerabilityIsFiledInTheDatabase) {
   const auto discovery = analysis::probe_nullhttpd_v051();
   ASSERT_TRUE(discovery.found_new_vulnerability);
   const auto db = bugtraq::curated_records();
-  const auto* rec = db.by_id(6255);
-  ASSERT_NE(rec, nullptr);
+  const auto rec = db.by_id(6255);
+  ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->vuln_class, bugtraq::VulnClass::kHeapOverflow);
   EXPECT_EQ(rec->category, bugtraq::Category::kBoundaryConditionError);
 }
@@ -127,7 +127,7 @@ TEST(EndToEnd, CorpusPlusCuratedStillMatchesFigure1Shares) {
   // database growth.
   auto db = bugtraq::synthetic_corpus();
   db.merge(bugtraq::curated_records());
-  const auto shares = bugtraq::category_breakdown(db);
+  const auto shares = bugtraq::category_breakdown(*db.snapshot());
   for (const auto& s : shares) {
     if (s.category == bugtraq::Category::kInputValidationError) {
       EXPECT_EQ(s.rounded_percent, 23);
@@ -190,8 +190,8 @@ TEST(EndToEnd, CuratedActivitiesClassifyIntoTheirAssignedCategories) {
   // Ties Table 1's mechanism to every curated record: the classifier,
   // anchored on each record's reference activity, reproduces Bugtraq's
   // category assignment.
-  const auto db = bugtraq::curated_records();
-  for (const auto& r : db.records()) {
+  const auto snap = bugtraq::curated_records().snapshot();
+  for (const auto& r : snap->records()) {
     EXPECT_TRUE(bugtraq::classification_consistent(r)) << r.title;
   }
 }

@@ -2,6 +2,7 @@
 // the three wired hot paths. Each test runs the same computation with
 // the global pool in serial fallback and again with several workers and
 // requires byte-identical results.
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -60,6 +61,7 @@ TEST(ParallelEquivalence, CorpusHistogramsAndSweeps) {
     // A fresh copy per run so the histogram cache cannot leak results
     // from one thread count to the other.
     const bugtraq::Database copy{db};
+    const auto snap = copy.snapshot();
     struct Out {
       std::map<bugtraq::Category, std::size_t> by_category;
       std::map<bugtraq::VulnClass, std::size_t> by_class;
@@ -67,17 +69,17 @@ TEST(ParallelEquivalence, CorpusHistogramsAndSweeps) {
       std::vector<std::pair<int, std::string>> hits;  // (id, title), in order
       std::string figure1;
     } out;
-    out.by_category = copy.count_by_category();
-    out.by_class = copy.count_by_class();
-    out.remote_overflows = copy.count([](const bugtraq::VulnRecord& r) {
+    out.by_category = snap->count_by_category();
+    out.by_class = snap->count_by_class();
+    out.remote_overflows = snap->count([](const bugtraq::VulnRecord& r) {
       return r.remote && r.vuln_class == bugtraq::VulnClass::kHeapOverflow;
     });
-    for (const auto* r : copy.query([](const bugtraq::VulnRecord& r) {
+    for (const auto* r : snap->query([](const bugtraq::VulnRecord& r) {
            return r.year == 2001 && !r.remote;
          })) {
       out.hits.emplace_back(r->id, r->title);
     }
-    out.figure1 = bugtraq::render_figure1(copy);
+    out.figure1 = bugtraq::render_figure1(*snap);
     return out;
   });
 
@@ -90,26 +92,26 @@ TEST(ParallelEquivalence, CorpusHistogramsAndSweeps) {
 }
 
 TEST(ParallelEquivalence, TemplatedAndTypeErasedOverloadsAgree) {
-  const auto db = bugtraq::synthetic_corpus();
+  const auto snap = bugtraq::synthetic_corpus().snapshot();
   const auto is_remote = [](const bugtraq::VulnRecord& r) { return r.remote; };
   const std::function<bool(const bugtraq::VulnRecord&)> erased = is_remote;
-  EXPECT_EQ(db.count(is_remote), db.count(erased));
-  EXPECT_EQ(db.query(is_remote), db.query(erased));
+  EXPECT_EQ(snap->count(is_remote), snap->count(erased));
+  EXPECT_EQ(snap->query(is_remote), snap->query(erased));
 }
 
 TEST(ParallelEquivalence, StatsSweeps) {
-  const auto db = bugtraq::synthetic_corpus();
+  const auto snap = bugtraq::synthetic_corpus().snapshot();
   const auto [serial, parallel] = serial_and_parallel([&] {
     struct Out {
       std::size_t remote, local;
       std::vector<bugtraq::YearCount> years;
       std::vector<bugtraq::SoftwareCount> top;
     } out;
-    const auto split = bugtraq::remote_local_split(db);
+    const auto split = bugtraq::remote_local_split(*snap);
     out.remote = split.remote;
     out.local = split.local;
-    out.years = bugtraq::by_year(db);
-    out.top = bugtraq::top_software(db, 10);
+    out.years = bugtraq::by_year(*snap);
+    out.top = bugtraq::top_software(*snap, 10);
     return out;
   });
   EXPECT_EQ(serial.remote, parallel.remote);

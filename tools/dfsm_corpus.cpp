@@ -1,13 +1,14 @@
 // dfsm_corpus — the corpus service's disk-format workbench: generate a
 // synthetic corpus in CSV and/or binary columnar snapshot (colsnap)
 // form, convert between the two formats, emit deterministic JSON
-// statistics, verify a shard set end to end, and (for negative tests)
-// corrupt a snapshot in a controlled way.
+// statistics, verify a shard set end to end (round trips plus a serial
+// vs. parallel reload), and (for negative tests) corrupt a snapshot in a
+// controlled way.
 //
 //   dfsm_corpus gen --n 100000 --seed 42 --out /tmp/c --shards 8 --format both
 //   dfsm_corpus stats --in /tmp/c.colsnap --threads 4 --out stats.json
 //   dfsm_corpus convert --in /tmp/c.csv --out /tmp/c2
-//   dfsm_corpus verify --in /tmp/c.colsnap
+//   dfsm_corpus verify --in /tmp/c.csv --threads 4
 //   dfsm_corpus corrupt --in /tmp/c.colsnap --shard 1 --mode checksum
 //
 // `--in` names the shard base plus format extension ("<base>.csv" or
@@ -175,11 +176,10 @@ void append_json_escaped(std::string& out, const std::string& s) {
 /// Deterministic stats JSON: map iteration order is sorted, every count
 /// is exact, and nothing here depends on the thread pool or the source
 /// format — the property the CI job byte-compares.
-std::string stats_json(const bugtraq::Database& db) {
-  const auto snap = db.snapshot();
+std::string stats_json(const bugtraq::CorpusSnapshot& snap) {
   std::string out = "{\n";
-  out += "  \"records\": " + std::to_string(snap->size()) + ",\n";
-  out += "  \"software_packages\": " + std::to_string(snap->software_count()) +
+  out += "  \"records\": " + std::to_string(snap.size()) + ",\n";
+  out += "  \"software_packages\": " + std::to_string(snap.software_count()) +
          ",\n";
   const auto object = [&out](const char* name, const auto& counts,
                              auto&& key_of, bool last = false) {
@@ -197,13 +197,13 @@ std::string stats_json(const bugtraq::Database& db) {
       out.erase(out.size() - 2, 1);  // drop the trailing comma
     }
   };
-  object("by_category", snap->count_by_category(),
+  object("by_category", snap.count_by_category(),
          [](bugtraq::Category c) { return std::string{to_string(c)}; });
-  object("by_class", snap->count_by_class(),
+  object("by_class", snap.count_by_class(),
          [](bugtraq::VulnClass c) { return std::string{to_string(c)}; });
-  object("by_year", snap->count_by_year(),
+  object("by_year", snap.count_by_year(),
          [](int year) { return std::to_string(year); });
-  object("by_software", snap->count_by_software(),
+  object("by_software", snap.count_by_software(),
          [](const std::string& name) { return name; }, /*last=*/true);
   out += "}\n";
   return out;
@@ -230,12 +230,12 @@ int cmd_gen(std::map<std::string, std::string> flags, const char* argv0) {
     die_usage("--format must be csv, colsnap, or both", argv0);
   }
 
-  const auto db = bugtraq::synthetic_corpus_n(n, seed);
+  const auto snap = bugtraq::synthetic_corpus_n(n, seed).snapshot();
   std::size_t files = 0;
-  if (format != "colsnap") files += bugtraq::write_csv_shards(db, out, shards).size();
-  if (format != "csv") files += bugtraq::write_colsnap_shards(db, out, shards).size();
+  if (format != "colsnap") files += bugtraq::write_csv_shards(*snap, out, shards).size();
+  if (format != "csv") files += bugtraq::write_colsnap_shards(*snap, out, shards).size();
   if (!quiet) {
-    std::printf("wrote %zu records as %zu %s shard files under %s\n", db.size(),
+    std::printf("wrote %zu records as %zu %s shard files under %s\n", snap->size(),
                 files, format.c_str(), out.c_str());
   }
   return 0;
@@ -259,13 +259,14 @@ int cmd_convert(std::map<std::string, std::string> flags, const char* argv0) {
   else if (to == "colsnap") target = Format::kColsnap;
   else if (!to.empty()) die_usage("--to must be csv or colsnap", argv0);
 
-  const auto db = fmt == Format::kCsv ? bugtraq::read_csv_shards(in_paths)
-                                      : bugtraq::read_colsnap_shards(in_paths);
+  const auto snap = (fmt == Format::kCsv ? bugtraq::read_csv_shards(in_paths)
+                                         : bugtraq::read_colsnap_shards(in_paths))
+                        .snapshot();
   const auto out_paths = target == Format::kCsv
-                             ? bugtraq::write_csv_shards(db, out, shards)
-                             : bugtraq::write_colsnap_shards(db, out, shards);
+                             ? bugtraq::write_csv_shards(*snap, out, shards)
+                             : bugtraq::write_colsnap_shards(*snap, out, shards);
   std::printf("converted %zu records: %zu %s shards -> %zu %s shards\n",
-              db.size(), in_paths.size(),
+              snap->size(), in_paths.size(),
               fmt == Format::kCsv ? "csv" : "colsnap", out_paths.size(),
               target == Format::kCsv ? "csv" : "colsnap");
   return 0;
@@ -279,7 +280,7 @@ int cmd_stats(std::map<std::string, std::string> flags, const char* argv0) {
   if (in.empty()) die_usage("stats needs --in", argv0);
 
   const auto [base, fmt] = split_input(in, argv0);
-  const auto json = stats_json(load(base, fmt));
+  const auto json = stats_json(*load(base, fmt).snapshot());
   if (out.empty()) {
     std::fputs(json.c_str(), stdout);
   } else {
@@ -300,8 +301,7 @@ int cmd_verify(std::map<std::string, std::string> flags, const char* argv0) {
   if (in.empty()) die_usage("verify needs --in", argv0);
 
   const auto [base, fmt] = split_input(in, argv0);
-  const auto db = load(base, fmt);
-  const auto snap = db.snapshot();
+  const auto snap = load(base, fmt).snapshot();
 
   // The carried histograms must equal a full columnar rebuild...
   if (bugtraq::rebuild_histograms(*snap) != snap->histograms()) {
@@ -312,18 +312,27 @@ int cmd_verify(std::map<std::string, std::string> flags, const char* argv0) {
   const auto expected = snap->to_csv();
   const auto bodies = bugtraq::encode_colsnap_shards(*snap, 4);
   const std::vector<std::string> labels(bodies.size(), "<memory>");
-  if (bugtraq::decode_colsnap_shards(bodies, labels).to_csv() != expected) {
+  if (bugtraq::decode_colsnap_shards(bodies, labels).snapshot()->to_csv() !=
+      expected) {
     std::fprintf(stderr, "FAIL: colsnap round-trip changed the corpus\n");
     return 1;
   }
-  if (bugtraq::Database::from_csv(expected).to_csv() != expected) {
+  if (bugtraq::Database::from_csv_parts({expected}).snapshot()->to_csv() !=
+      expected) {
     std::fprintf(stderr, "FAIL: csv round-trip changed the corpus\n");
     return 1;
   }
+  // ...and a reload with the pool pinned to one worker must equal the
+  // load at the configured pool size.
+  runtime::ThreadPool::set_global_threads(1);
+  if (load(base, fmt).snapshot()->to_csv() != expected) {
+    std::fprintf(stderr, "FAIL: serial reload differs from the parallel load\n");
+    return 1;
+  }
   std::printf(
-      "ok: %zu records, histograms exact, csv and colsnap round-trips "
-      "byte-identical\n",
-      db.size());
+      "ok: %zu records, histograms exact, csv and colsnap round-trips and "
+      "serial reload byte-identical\n",
+      snap->size());
   return 0;
 }
 
@@ -344,10 +353,21 @@ int cmd_corrupt(std::map<std::string, std::string> flags, const char* argv0) {
                  paths.size());
     return 2;
   }
+  // Refuse, leaving the file untouched, anything too short to carry a
+  // header: every mode below edits bytes at header or block offsets.
   std::ifstream inf{paths[shard], std::ios::binary};
   std::string bytes{std::istreambuf_iterator<char>{inf},
                     std::istreambuf_iterator<char>{}};
+  if (!inf.is_open() || inf.bad()) {
+    std::fprintf(stderr, "error: cannot read %s\n", paths[shard].c_str());
+    return 2;
+  }
   inf.close();
+  if (bytes.size() < bugtraq::kColsnapHeaderSize) {
+    std::fprintf(stderr, "error: %s is %zu bytes, shorter than the %zu-byte header\n",
+                 paths[shard].c_str(), bytes.size(), bugtraq::kColsnapHeaderSize);
+    return 2;
+  }
 
   if (mode == "epoch") {
     bytes[bugtraq::colsnap_epoch_offset()] = static_cast<char>(
